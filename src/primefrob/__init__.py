@@ -8,6 +8,7 @@ semigroups of all primes from p_n on.
 """
 
 from .errors import (
+    BudgetError,
     ConfigurationError,
     DecompositionError,
     DomainError,
@@ -69,11 +70,9 @@ from .semigroup import (
     sylvester_genus,
 )
 from .wilf import (
-    AnalyticBounds,
     SmallCasesReport,
     SpRangeRow,
     WilfReport,
-    analytic_bounds,
     analytic_l,
     analytic_l2,
     cube_gap_holds,

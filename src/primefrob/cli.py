@@ -134,7 +134,9 @@ def _resolve_threads(args) -> int:
             except ValueError:
                 raise DomainError(f"{ENV_THREADS}={env!r} is not an integer") from None
         else:
-            value = os.cpu_count() or 1
+            # the CPUs in this process's affinity mask, where the platform has one
+            value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     if value < 1:
         raise DomainError(f"thread count must be >= 1, got {value}")
     return value

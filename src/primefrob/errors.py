@@ -14,6 +14,11 @@ class ConfigurationError(DomainError):
     """A runtime configuration value (sieve limit, budget) is unusable."""
 
 
+class BudgetError(ConfigurationError, ArithmeticError):
+    """A computation would exceed a fixed budget (64-bit Apery values, table
+    memory); raised before the work or the allocation starts."""
+
+
 class NotNumericalSemigroupError(DomainError):
     """Generators with gcd > 1: the complement is infinite, no Frobenius number."""
 

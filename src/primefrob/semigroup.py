@@ -5,15 +5,16 @@ residue class r mod m the least semigroup element congruent to r.  Frobenius
 number, genus, membership, gaps and sporadic counts all read off it in O(1)
 or one linear pass.
 
-The Apery table is computed by round-robin relaxation over the residue
-classes: each generator g is folded in by relaxing
+The Apery table is built one generator g at a time: a fold relaxes
 
     apery[(r + g) mod m] <= apery[r] + g
 
-to a fixed point before the next generator is taken up.  Relaxation steps are
-composed by binary doubling (fold t copies of g at once, t = 1, 2, 4, ...),
-which reaches the same fixed point in O(m log m) worst case per generator.
-A final full pass re-relaxes every generator once and must change nothing.
+to a fixed point by binary doubling (t copies of g at once, t = 1, 2, 4, ...),
+O(m log m) worst case per generator.  Each step writes the rotated table plus
+the step's cost into a scratch buffer with two slice adds and takes the
+elementwise minimum in place, so a fold allocates nothing; one max() per fold
+bounds the doubling rounds.  A final pass re-relaxes every generator once and
+must change nothing.
 
 ``brute_force_membership`` is the independent oracle: plain coin-problem
 reachability with no modular arithmetic, for tests to diff against.
@@ -27,12 +28,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, NotNumericalSemigroupError
+from .errors import BudgetError, DomainError, InvariantViolationError, NotNumericalSemigroupError
 
 # Apery values are bounded by m * max(gens); keep far below the int64 ceiling
 # so the sentinel plus a doubled relaxation cost can never wrap.
 _INF = np.int64(1) << np.int64(62)
 _VALUE_BUDGET = 1 << 58
+# A table and its scratch buffer cost 16 bytes per residue class: 256 MiB here.
+_MULTIPLICITY_BUDGET = 1 << 24
 
 ORACLE_BUDGET = 10_000_000
 
@@ -77,43 +80,46 @@ class AperyError(InvariantViolationError):
     pass
 
 
-def _fold_generator(ap: np.ndarray, g: int, m: int) -> bool:
-    """Close ``ap`` under adding any number of copies of g; True if it changed.
+def _check_value_budget(m: int, g: int) -> None:
+    if m * g > _VALUE_BUDGET:
+        raise BudgetError(f"apery values may exceed the 64-bit budget for m={m}, generator {g}")
+
+
+def _shifted(ap: np.ndarray, buf: np.ndarray, shift: int, cost: int) -> np.ndarray:
+    """Fill ``buf`` with np.roll(ap, shift) + cost without allocating."""
+    m = len(ap)
+    np.add(ap[m - shift:], cost, out=buf[:shift])
+    np.add(ap[:m - shift], cost, out=buf[shift:])
+    return buf
+
+
+def _fold_generator(ap: np.ndarray, buf: np.ndarray, g: int) -> None:
+    """Close ``ap`` under adding any number of copies of g, in place.
 
     After the call ap[r] = min over t >= 0 of old_ap[(r - t*g) mod m] + t*g.
+    ``buf`` is scratch space of the same length as ``ap``.
     """
+    m = len(ap)
     shift = g % m
     if shift == 0:
-        return False  # adding multiples of m never lowers a class minimum
-    cand = np.roll(ap, shift)
-    cand += g
-    if not (cand < ap).any():
-        return False
-    np.minimum(ap, cand, out=ap)
-    if bool((ap >= _INF).any()):
-        t_bound = m - 1
-    else:
-        # t copies of g only help while t*g stays below the current maximum
-        t_bound = min(m - 1, int(ap.max()) // g)
+        return  # adding multiples of m never lowers a class minimum
+    np.minimum(ap, _shifted(ap, buf, shift, g), out=ap)
+    # t copies of g only help while t*g stays below the current maximum; while
+    # a class is unreached that maximum is _INF and _INF // g > m - 1.
+    t_bound = min(m - 1, int(ap.max()) // g)
     covered, step_shift, step_cost = 1, shift, g
     while covered < t_bound:
         step_shift = (2 * step_shift) % m
         step_cost *= 2
-        cand = np.roll(ap, step_shift)
-        cand += step_cost
-        np.minimum(ap, cand, out=ap)
+        np.minimum(ap, _shifted(ap, buf, step_shift, step_cost), out=ap)
         covered = 2 * covered + 1
-    return True
 
 
-def _verify_fixed_point(ap: np.ndarray, gens: Sequence[int], m: int) -> None:
+def _verify_fixed_point(ap: np.ndarray, gens: Sequence[int]) -> None:
+    buf = np.empty_like(ap)
     for g in gens:
-        shift = g % m
-        if shift == 0:
-            continue
-        cand = np.roll(ap, shift)
-        cand += g
-        if bool((cand < ap).any()):
+        shift = g % len(ap)
+        if shift and bool((_shifted(ap, buf, shift, g) < ap).any()):
             raise AperyError(f"relaxation not at fixed point for generator {g}")
 
 
@@ -174,29 +180,11 @@ class AperyProfile:
 
 def apery_set(gens: GeneratorSet, verify: bool = True) -> AperyProfile:
     """Compute the AperyProfile of the semigroup generated by ``gens``."""
-    m = gens.multiplicity
-    if m * gens.generators[-1] > _VALUE_BUDGET:
-        raise ArithmeticError(
-            f"apery values may exceed the 64-bit budget for m={m}, "
-            f"max generator {gens.generators[-1]}"
-        )
-    ap = np.full(m, _INF, dtype=np.int64)
-    ap[0] = 0
-    for g in gens:
-        _fold_generator(ap, g, m)
-    if bool((ap >= _INF).any()):
-        raise AperyError("unreachable residue class despite gcd 1")
-    if verify:
-        _verify_fixed_point(ap, gens.generators, m)
-    return _profile_from_table(m, ap)
-
-
-def _profile_from_table(m: int, ap: np.ndarray) -> AperyProfile:
-    frobenius = int(ap.max()) - m
-    genus = int((ap[1:] // m).sum())
-    profile = AperyProfile(multiplicity=m, apery=ap, frobenius=frobenius, genus=genus)
-    profile.apery.setflags(write=False)
-    return profile
+    _check_value_budget(gens.multiplicity, gens.generators[-1])
+    builder = IncrementalApery(gens.multiplicity)
+    for g in gens.generators[1:]:
+        builder.add(g)
+    return builder.profile(verify=verify)
 
 
 class IncrementalApery:
@@ -210,29 +198,39 @@ class IncrementalApery:
     def __init__(self, multiplicity: int):
         if multiplicity < 2:
             raise DomainError(f"multiplicity must be >= 2, got {multiplicity}")
+        if multiplicity > _MULTIPLICITY_BUDGET:
+            raise BudgetError(f"multiplicity {multiplicity} over the budget {_MULTIPLICITY_BUDGET}")
         self.multiplicity = multiplicity
         self.ap = np.full(multiplicity, _INF, dtype=np.int64)
         self.ap[0] = 0
+        self._buf = np.empty_like(self.ap)
+        self._complete = False
         self.generators: list[int] = [multiplicity]
 
     def add(self, g: int) -> None:
         if g < self.multiplicity:
             raise DomainError("generators must be added in ascending order from m")
-        if self.multiplicity * g > _VALUE_BUDGET:
-            raise ArithmeticError(f"generator {g} exceeds the 64-bit value budget")
+        _check_value_budget(self.multiplicity, g)
         self.generators.append(int(g))
-        _fold_generator(self.ap, int(g), self.multiplicity)
+        _fold_generator(self.ap, self._buf, int(g))
 
     @property
     def complete(self) -> bool:
-        return not bool((self.ap >= _INF).any())
+        # entries only ever fall, so a table once complete stays complete
+        if not self._complete:
+            self._complete = int(self.ap.max()) < _INF
+        return self._complete
 
     def profile(self, verify: bool = False) -> AperyProfile:
         if not self.complete:
             raise AperyError("some residue class is still unreachable")
+        m, ap = self.multiplicity, self.ap.copy()
         if verify:
-            _verify_fixed_point(self.ap, self.generators, self.multiplicity)
-        return _profile_from_table(self.multiplicity, self.ap.copy())
+            _verify_fixed_point(ap, self.generators)
+        frobenius = int(ap.max()) - m
+        genus = int((ap[1:] // m).sum())
+        ap.setflags(write=False)
+        return AperyProfile(multiplicity=m, apery=ap, frobenius=frobenius, genus=genus)
 
     def frobenius(self) -> int:
         if not self.complete:

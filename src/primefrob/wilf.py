@@ -180,16 +180,6 @@ def analytic_l2(x: float) -> float:
     ) / x
 
 
-@dataclass(frozen=True)
-class AnalyticBounds:
-    l: float
-    l2: float
-
-
-def analytic_bounds(x: float) -> AnalyticBounds:
-    return AnalyticBounds(l=analytic_l(x), l2=analytic_l2(x))
-
-
 def l_strictly_increasing(lo: int = 67, hi: int = 10_000) -> bool:
     x = np.arange(lo, hi + 1, dtype=np.float64)
     vals = 2.0 * (np.log(x) - 1.5) / (np.log(2 * x) - 0.5)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from primefrob.cli import decimal6, main
+from primefrob.cli import _resolve_threads, decimal6, main
 
 
 def run(capsys, argv):
@@ -76,6 +77,14 @@ def test_frobenius_error_paths(capsys):
     assert run(
         capsys, ["frobenius", "--p", "23", "--lambda", "1", "--sieve-limit", "30"]
     )[0] == 2
+
+
+def test_budget_overruns_exit_2(capsys):
+    # apery values past the 64-bit budget, then a table too large to allocate
+    for gens in ("1073741827,1073741831", "268435459,268435463"):
+        code, out, err = run(capsys, ["frobenius", "--gens", gens])
+        assert code == 2 and out == ""
+        assert "budget" in err and "internal error" not in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -196,6 +205,15 @@ def test_threads_validation(capsys, monkeypatch):
                         "--threads", "0"])[0] == 2
     monkeypatch.setenv("PRIMEFROB_THREADS", "abc")
     assert run(capsys, ["table3", "--range", "5:6", "--sieve-limit", "2000"])[0] == 2
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("PRIMEFROB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert _resolve_threads(argparse.Namespace(threads=None)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _resolve_threads(argparse.Namespace(threads=None)) == 64
 
 
 # ---------------------------------------------------------------- goldbach

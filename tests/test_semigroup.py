@@ -1,13 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from primefrob.errors import DomainError, NotNumericalSemigroupError
+from primefrob.errors import ConfigurationError, DomainError, NotNumericalSemigroupError
 from primefrob.semigroup import (
+    AperyError,
     AperyProfile,
     GeneratorSet,
     IncrementalApery,
@@ -17,6 +19,7 @@ from primefrob.semigroup import (
     normalize_generators,
     sylvester_frobenius,
     sylvester_genus,
+    _verify_fixed_point,
 )
 
 
@@ -207,3 +210,56 @@ def test_incremental_incomplete_guard():
 def test_overflow_budget_guard():
     with pytest.raises(ArithmeticError):
         apery_set(GeneratorSet((2**30 + 1, 2**30 + 3)))
+
+
+def test_multiplicity_budget_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError):
+            IncrementalApery(2**29 + 11)
+        with pytest.raises(ConfigurationError):  # within the value budget
+            apery_set(GeneratorSet((2**28 + 3, 2**28 + 7)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# --- fold kernel against the oracles ---------------------------------------
+
+@st.composite
+def kernel_generators(draw):
+    m = draw(st.integers(min_value=2, max_value=40))
+    gens = [
+        m,
+        draw(st.integers(min_value=2, max_value=5)) * m,  # folds with shift 0
+        *draw(st.lists(st.integers(min_value=m + 1, max_value=2 * m), max_size=3)),
+        draw(st.integers(min_value=2 * m + 1, max_value=6 * m)),
+    ]
+    gens.append(gens[-1] + gens[-2])  # never minimal
+    assume(math.gcd(*gens) == 1)
+    return normalize_generators(gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_generators())
+def test_batch_and_incremental_builds_match_reachability_oracle(gen_set):
+    n_max = 2 * gen_set.multiplicity * gen_set.generators[-1]
+    oracle = brute_force_membership(gen_set, n_max)
+    batch = apery_set(gen_set)
+    inc = IncrementalApery(gen_set.multiplicity)
+    for g in gen_set.generators[1:]:
+        inc.add(g)
+    grown = inc.profile(verify=True)
+    for profile in (batch, grown):
+        assert (profile.contains_many(np.arange(n_max + 1)) == oracle).all()
+    assert (batch.apery == grown.apery).all()
+
+
+def test_verify_fixed_point_rejects_a_lowered_entry():
+    gen_set, profile = build([3, 5])
+    ap = profile.apery.copy()
+    _verify_fixed_point(ap, gen_set.generators)
+    ap[2] -= 3  # class 2 now claims 2, so class 1 could reach 2 + 5 < 10
+    with pytest.raises(AperyError):
+        _verify_fixed_point(ap, gen_set.generators)
