@@ -47,7 +47,6 @@ from .intervals import (
     upper_window_check,
 )
 from .primes import (
-    DEFAULT_LIMIT,
     BoundCheck,
     BoundsReport,
     PrimeTable,

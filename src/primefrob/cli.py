@@ -33,7 +33,7 @@ from .intervals import (
     scan_rows_csv,
     staircase,
 )
-from .primes import DEFAULT_LIMIT, PrimeTable, build_table, extend_table, table_for_nth_prime
+from .primes import PrimeTable, extend_table
 from .semigroup import GeneratorSet, apery_set, atoms, normalize_generators
 from .wilf import density, verify_sp_range
 
@@ -109,18 +109,17 @@ def _emit(args, rows: list[dict], columns: list[str], summary: str | None = None
             print(summary, file=sys.stderr)
 
 
-def _resolve_sieve_limit(args) -> tuple[int, bool]:
-    """(limit, explicit): explicit limits are respected strictly and a
-    computation that needs more becomes a domain error instead of growing."""
+def _resolve_sieve_limit(args) -> int | None:
+    """The configured sieve limit (--sieve-limit, else the environment), or None."""
     if getattr(args, "sieve_limit", None) is not None:
-        return args.sieve_limit, True
+        return args.sieve_limit
     env = os.environ.get(ENV_SIEVE_LIMIT)
     if env:
         try:
-            return int(env), True
+            return int(env)
         except ValueError:
             raise DomainError(f"{ENV_SIEVE_LIMIT}={env!r} is not an integer") from None
-    return DEFAULT_LIMIT, False
+    return None
 
 
 def _resolve_threads(args) -> int:
@@ -143,15 +142,13 @@ def _resolve_threads(args) -> int:
 
 
 def _table_reaching(args, needed: int) -> PrimeTable:
-    limit, explicit = _resolve_sieve_limit(args)
-    if needed > limit:
-        if explicit:
-            raise DomainError(
-                f"computation needs primes up to {needed}, beyond the "
-                f"configured sieve limit {limit}"
-            )
-        limit = needed
-    return build_table(limit)
+    """A sieve reaching ``needed``.  A configured limit is strict: the table
+    is fixed at it, so neither this nor any later growth may pass it.
+    Without one the sieve fits the request and grows when a scan needs more."""
+    limit = _resolve_sieve_limit(args)
+    if limit is None:
+        return PrimeTable(max(needed, 2))
+    return extend_table(PrimeTable(limit, fixed=True), needed)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -258,12 +255,8 @@ WILF_COLUMNS = [
 def _cmd_wilf(args) -> int:
     n_lo, n_hi = _parse_range(args.range)
     threads = _resolve_threads(args)
-    limit, explicit = _resolve_sieve_limit(args)
-    table = build_table(limit)
-    if not explicit:
-        table = table_for_nth_prime(table, n_hi)
-        table = extend_table(table, 2 * table.nth_prime(n_hi) + 1)
-    rows_data = verify_sp_range(table, n_lo, n_hi, workers=threads)
+    # the scan grows the table to 2*p_{n_hi} itself
+    rows_data = verify_sp_range(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
     rows = [
         {
             "n": r.n, "p": r.p, "e": r.e, "f": r.f, "g": r.g,
@@ -286,9 +279,8 @@ def _cmd_table3(args) -> int:
     if n_lo < 5:
         raise DomainError(f"scan starts at n = 5, got {n_lo}")
     threads = _resolve_threads(args)
-    limit, _ = _resolve_sieve_limit(args)
-    table = build_table(limit)
-    rows_data = sn_scan(table, n_lo, n_hi, workers=threads)
+    # the scan grows the table to its largest first-round truncation itself
+    rows_data = sn_scan(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
     rows = [
         {
             "n": r.n, "p": r.p_n, "f": r.f_n, "f_odd": r.f_odd,
@@ -341,9 +333,7 @@ SN_COLUMNS = ["n", "p", "truncation", "f", "certificate_ok"]
 
 
 def _cmd_sn(args) -> int:
-    limit, _ = _resolve_sieve_limit(args)
-    table = build_table(limit)
-    tp = tail_frobenius(table, args.n)
+    tp = tail_frobenius(_table_reaching(args, 2), args.n)
     row = {
         "n": tp.n, "p": tp.p_n, "truncation": tp.truncation,
         "f": tp.f, "certificate_ok": tp.certificate_ok,

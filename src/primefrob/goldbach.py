@@ -20,10 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .errors import DecompositionError, DomainError, InvariantViolationError
-from .primes import PrimeTable, build_table, extend_table, table_for_nth_prime
+from .primes import PrimeTable, extend_table, parallel_map, table_for_nth_prime
 from .semigroup import AperyProfile, IncrementalApery
 
 BOUND_DELTA = "delta"      # strict: |m*q_i - N| < m*delta*N
@@ -241,10 +239,11 @@ def tail_frobenius(table: PrimeTable, n: int, max_rounds: int = 20) -> TailProfi
     for _ in range(max_rounds):
         table = extend_table(table, bound)
         inc = IncrementalApery(p_n)
-        for q in table.primes_in(p_n + 1, bound):
-            if int(q) > int(inc.ap.max()):
+        top = None  # an upper bound on every Apery value, from the last fold
+        for q in table.primes_in(p_n + 1, bound).tolist():
+            if top is not None and q > top:
                 break  # every later prime is even larger; the table is final
-            inc.add(int(q))
+            top = inc.add(q)
         if inc.complete:
             f = inc.frobenius()
             if f <= bound:
@@ -277,41 +276,25 @@ class TailScanRow:
         return self.f_odd and self.delta_in_range
 
 
-_WORKER_TABLE: PrimeTable | None = None
-
-
-def _init_tail_worker(limit: int) -> None:
-    global _WORKER_TABLE
-    _WORKER_TABLE = build_table(limit)
-
-
-def _tail_worker(n: int) -> tuple[int, int, int]:
-    assert _WORKER_TABLE is not None
-    tp = tail_frobenius(_WORKER_TABLE, n)
-    return (n, tp.p_n, tp.f)
+def _tail_p_f(table: PrimeTable, n: int) -> tuple[int, int]:
+    tp = tail_frobenius(table, n)
+    return tp.p_n, tp.f
 
 
 def sn_scan(table: PrimeTable, n_lo: int, n_hi: int, workers: int = 1) -> list[TailScanRow]:
     """Rows for n in [n_lo, n_hi]: f_n parity and the jump f_{n+1} - 3 p_n.
 
     The observed pattern for n >= 5: f_n is odd and the jump sits strictly
-    between 0 and 2n.  With workers > 1 the per-n builds fan out over
-    processes; rows come back merged in n order either way.
+    between 0 and 2n.  The table first grows to cover every first-round
+    truncation; with workers > 1 the per-n builds then fan out over processes
+    that share it.  Rows come back merged in n order either way.
     """
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError(f"bad range [{n_lo}, {n_hi}]")
+    table = table_for_nth_prime(table, n_hi + 1)
+    table = extend_table(table, 4 * table.nth_prime(n_hi + 1) + 2 * (n_hi + 1))
     ns = range(n_lo, n_hi + 2)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_tail_worker, initargs=(table.limit,)
-        ) as ex:
-            triples = list(ex.map(_tail_worker, ns, chunksize=16))
-    else:
-        triples = []
-        for n in ns:
-            tp = tail_frobenius(table, n)
-            triples.append((n, tp.p_n, tp.f))
-    by_n = {n: (p, f) for n, p, f in triples}
+    by_n = dict(zip(ns, parallel_map(_tail_p_f, table, ns, workers, chunksize=16)))
     rows = []
     for n in range(n_lo, n_hi + 1):
         p_n, f_n = by_n[n]

@@ -9,13 +9,14 @@ window are verified against the sieve, never assumed.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, OutOfRangeError
-
-DEFAULT_LIMIT = 2_000_000
 
 # A sieve beyond this many entries is almost certainly a mistyped argument;
 # refuse instead of eating gigabytes.
@@ -38,12 +39,13 @@ class PrimeTable:
         limit: largest integer covered.
         primality: bool array, primality[n] iff n is prime.
         prime_list: ascending int64 array of all primes <= limit.
+        fixed: the limit is a configured ceiling that ``extend_table`` keeps.
 
     pi and nth-prime indexing is 1-based: pi(2) = 1 and nth_prime(1) = 2.
     All queries are read-only, so one table may be shared freely.
     """
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, fixed: bool = False):
         if limit < 2:
             raise ConfigurationError(f"sieve limit must be >= 2, got {limit}")
         if limit > MAX_SIEVE_LIMIT:
@@ -51,6 +53,7 @@ class PrimeTable:
                 f"sieve limit {limit} exceeds the memory budget ({MAX_SIEVE_LIMIT})"
             )
         self.limit = int(limit)
+        self.fixed = fixed
         self.primality = _sieve(self.limit)
         self.prime_list = np.flatnonzero(self.primality).astype(np.int64)
 
@@ -101,28 +104,60 @@ class PrimeTable:
         return cached
 
 
-def build_table(limit: int = DEFAULT_LIMIT) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     return PrimeTable(limit)
 
 
 def extend_table(table: PrimeTable, needed: int) -> PrimeTable:
     """Return ``table`` itself if it already covers ``needed``, else a fresh
-    larger one.  Growth doubles so repeated extension stays cheap."""
+    larger one.  Growth doubles so repeated extension stays cheap.  This is
+    the only place a table grows, and a fixed table raises instead."""
     if needed <= table.limit:
         return table
+    if table.fixed:
+        raise OutOfRangeError(
+            f"computation needs primes up to {needed}, beyond the "
+            f"configured sieve limit {table.limit}"
+        )
     return PrimeTable(max(needed, 2 * table.limit))
 
 
 def table_for_nth_prime(table: PrimeTable, n: int) -> PrimeTable:
     """Extend ``table`` until it contains the n-th prime."""
     while n > len(table.prime_list):
+        if table.fixed:
+            raise OutOfRangeError(
+                f"computation needs p_{n}, beyond the configured sieve limit {table.limit}"
+            )
         # p_n < n(log n + log log n) for n > 5; small n are far below 16.
-        if n > 5:
-            guess = int(n * (math.log(n) + math.log(math.log(n)))) + 1
-        else:
-            guess = 16
+        guess = int(n * (math.log(n) + math.log(math.log(n)))) + 1 if n > 5 else 16
         table = extend_table(table, max(guess, 2 * table.limit))
     return table
+
+
+# The table a pool worker received from its parent; set once per worker.
+_POOL_TABLE: PrimeTable | None = None
+
+
+def _set_pool_table(table: PrimeTable) -> None:
+    global _POOL_TABLE
+    _POOL_TABLE = table
+
+
+def _apply_to_pool_table(fn: Callable, item):
+    return fn(_POOL_TABLE, item)
+
+
+def parallel_map(fn: Callable, table: PrimeTable, items: Iterable, workers: int = 1,
+                 chunksize: int = 1) -> list:
+    """``[fn(table, x) for x in items]``, in order.  With workers > 1 the items
+    fan out in chunks over a process pool; each worker receives ``table`` once
+    when it starts, so it never sieves again and a fixed table stays fixed.
+    ``fn`` must be a module-level function so it can be sent to the workers."""
+    if workers <= 1:
+        return [fn(table, x) for x in items]
+    with ProcessPoolExecutor(workers, initializer=_set_pool_table, initargs=(table,)) as ex:
+        return list(ex.map(partial(_apply_to_pool_table, fn), items, chunksize=chunksize))
 
 
 @dataclass(frozen=True)

@@ -93,26 +93,29 @@ def _shifted(ap: np.ndarray, buf: np.ndarray, shift: int, cost: int) -> np.ndarr
     return buf
 
 
-def _fold_generator(ap: np.ndarray, buf: np.ndarray, g: int) -> None:
+def _fold_generator(ap: np.ndarray, buf: np.ndarray, g: int) -> int:
     """Close ``ap`` under adding any number of copies of g, in place.
 
     After the call ap[r] = min over t >= 0 of old_ap[(r - t*g) mod m] + t*g.
-    ``buf`` is scratch space of the same length as ``ap``.
+    ``buf`` is scratch space of the same length as ``ap``.  Returns the
+    maximum after the first step, an upper bound on every entry after the fold.
     """
     m = len(ap)
     shift = g % m
     if shift == 0:
-        return  # adding multiples of m never lowers a class minimum
+        return int(_INF)  # adding multiples of m never lowers a class minimum
     np.minimum(ap, _shifted(ap, buf, shift, g), out=ap)
     # t copies of g only help while t*g stays below the current maximum; while
     # a class is unreached that maximum is _INF and _INF // g > m - 1.
-    t_bound = min(m - 1, int(ap.max()) // g)
+    top = int(ap.max())
+    t_bound = min(m - 1, top // g)
     covered, step_shift, step_cost = 1, shift, g
     while covered < t_bound:
         step_shift = (2 * step_shift) % m
         step_cost *= 2
         np.minimum(ap, _shifted(ap, buf, step_shift, step_cost), out=ap)
         covered = 2 * covered + 1
+    return top
 
 
 def _verify_fixed_point(ap: np.ndarray, gens: Sequence[int]) -> None:
@@ -207,12 +210,13 @@ class IncrementalApery:
         self._complete = False
         self.generators: list[int] = [multiplicity]
 
-    def add(self, g: int) -> None:
+    def add(self, g: int) -> int:
+        """Fold in generator g; returns an upper bound on every table entry."""
         if g < self.multiplicity:
             raise DomainError("generators must be added in ascending order from m")
         _check_value_budget(self.multiplicity, g)
         self.generators.append(int(g))
-        _fold_generator(self.ap, self._buf, int(g))
+        return _fold_generator(self.ap, self._buf, int(g))
 
     @property
     def complete(self) -> bool:

@@ -10,7 +10,6 @@ acceptance margins are far wider than double rounding error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .intervals import LambdaSemigroup, build_interval_semigroup
-from .primes import PrimeTable, baker_window, build_table
+from .primes import PrimeTable, baker_window, extend_table, parallel_map, table_for_nth_prime
 from .semigroup import AperyProfile, AtomSet, GeneratorSet, atoms
 
 
@@ -106,60 +105,48 @@ def sp_row(table: PrimeTable, n: int) -> SpRangeRow:
     )
 
 
-_WORKER_TABLE: PrimeTable | None = None
-
-
-def _init_worker(limit: int) -> None:
-    global _WORKER_TABLE
-    _WORKER_TABLE = build_table(limit)
-
-
-def _sp_worker(n: int) -> SpRangeRow:
-    assert _WORKER_TABLE is not None
-    return sp_row(_WORKER_TABLE, n)
-
-
 def verify_sp_range(
     table: PrimeTable, n_lo: int, n_hi: int, workers: int = 1
 ) -> list[SpRangeRow]:
     """One SpRangeRow per n in [n_lo, n_hi], in order.
 
-    With workers > 1 the range fans out over processes, each with its own
-    sieve; rows come back merged in n order either way.
+    The table first grows to 2*p_{n_hi}; with workers > 1 the range then fans
+    out over processes that share it.  Rows come back in n order either way.
     """
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError(f"bad range [{n_lo}, {n_hi}]")
-    ns = range(n_lo, n_hi + 1)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(table.limit,)
-        ) as ex:
-            return list(ex.map(_sp_worker, ns, chunksize=8))
-    return [sp_row(table, n) for n in ns]
+    table = table_for_nth_prime(table, n_hi)
+    table = extend_table(table, 2 * table.nth_prime(n_hi))
+    return parallel_map(sp_row, table, range(n_lo, n_hi + 1), workers, chunksize=8)
 
 
-def frobenius_square_bound(table: PrimeTable, n: int) -> bool:
-    """f(p_n) < 2*(pi(2p_n) - n)^2, meaningful for n > 674."""
+def _prime_index_at_lam_1(table: PrimeTable, ls: LambdaSemigroup) -> int:
+    if ls.lam != 1:
+        raise DomainError(f"bound is stated for lam = 1, got lam = {ls.lam}")
+    return table.prime_pi(ls.p)
+
+
+def frobenius_square_bound(table: PrimeTable, ls: LambdaSemigroup) -> bool:
+    """f(p_n) < 2*(pi(2p_n) - n)^2 for ls = S(p_n) at lam = 1, meaningful for n > 674."""
+    n = _prime_index_at_lam_1(table, ls)
     if n <= 674:
         raise DomainError(f"square bound applies for n > 674, got {n}")
-    p = table.nth_prime(n)
-    ls = build_interval_semigroup(table, p, Fraction(1))
-    k = table.prime_pi(2 * p) - n
+    k = table.prime_pi(2 * ls.p) - n
     return ls.frobenius < 2 * k * k
 
 
-def selmer_bound(table: PrimeTable, n: int) -> bool:
-    """f(p_n) < 2 * p_n * p_{pi(2p_n)} / (pi(2p_n) - n + 1), decided in integers.
+def selmer_bound(table: PrimeTable, ls: LambdaSemigroup) -> bool:
+    """f(p_n) < 2 * p_n * p_{pi(2p_n)} / (pi(2p_n) - n + 1) for ls = S(p_n) at
+    lam = 1, decided in integers.
 
     Requires the prime count k = pi(2p_n) - n + 1 to stay below p_n, the
     regime where the two-generator reduction behind the bound applies.
     """
-    p = table.nth_prime(n)
+    n, p = _prime_index_at_lam_1(table, ls), ls.p
     pi2p = table.prime_pi(2 * p)
     k = pi2p - n + 1
     if k >= p:
         raise DomainError(f"bound needs pi(2p)-n+1 < p; got {k} >= {p} at n={n}")
-    ls = build_interval_semigroup(table, p, Fraction(1))
     largest = table.nth_prime(pi2p)  # largest prime <= 2p
     return ls.frobenius * k < 2 * p * largest
 

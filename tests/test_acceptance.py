@@ -86,11 +86,11 @@ def test_criterion_02_wilf_range(table_wilf):
 
 def test_criterion_03_square_and_selmer_bounds(table_wilf):
     t0 = time.monotonic()
-    bad = [
-        n
-        for n in range(675, 1501)
-        if not (frobenius_square_bound(table_wilf, n) and selmer_bound(table_wilf, n))
-    ]
+    bad = []
+    for n in range(675, 1501):
+        ls = build_interval_semigroup(table_wilf, table_wilf.nth_prime(n), Fraction(1))
+        if not (frobenius_square_bound(table_wilf, ls) and selmer_bound(table_wilf, ls)):
+            bad.append(n)
     dt = time.monotonic() - t0
     report(
         3,

@@ -268,6 +268,21 @@ def test_sn_command(capsys):
     assert row["f"] == "63" and row["certificate_ok"] == "true"
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("argv,limit", [
+    (["sn", "--n", "500"], "100"),
+    (["table3", "--range", "5:300", "--threads", "1"], "500"),
+])
+def test_scans_honour_an_explicit_sieve_limit(capsys, monkeypatch, argv, limit, via_env):
+    if via_env:
+        monkeypatch.setenv("PRIMEFROB_SIEVE_LIMIT", limit)
+    else:
+        argv = argv + ["--sieve-limit", limit]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"configured sieve limit {limit}" in err
+
+
 def test_sieve_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("PRIMEFROB_SIEVE_LIMIT", "30")
     assert run(capsys, ["frobenius", "--p", "23", "--lambda", "1"])[0] == 2

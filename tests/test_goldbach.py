@@ -129,6 +129,10 @@ def test_sn_scan_rows(table_small):
         sn_scan(table_small, 0, 10)
 
 
+def test_sn_scan_pool_matches_one_process(table_small):
+    assert sn_scan(table_small, 5, 40, workers=2) == sn_scan(table_small, 5, 40)
+
+
 def test_odd_membership_scan(table_small):
     r = odd_membership_scan(table_small, 100, 2500)
     assert r.ok and r.first_failure is None

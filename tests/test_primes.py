@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,25 @@ def test_table_for_nth_prime():
     t = build_table(10)
     t = table_for_nth_prime(t, 1000)
     assert t.nth_prime(1000) == 7919
+
+
+def test_fixed_table_never_grows():
+    t = PrimeTable(100, fixed=True)
+    assert extend_table(t, 100) is t
+    with pytest.raises(OutOfRangeError, match="configured sieve limit 100"):
+        extend_table(t, 101)
+    assert table_for_nth_prime(t, 25) is t  # p_25 = 97
+    with pytest.raises(OutOfRangeError, match="p_26, beyond the configured sieve limit 100"):
+        table_for_nth_prime(t, 26)
+    assert not extend_table(PrimeTable(100), 101).fixed
+
+
+def test_fixed_table_survives_pickling():
+    # pool workers under a spawn start method receive the table this way
+    t = pickle.loads(pickle.dumps(PrimeTable(100, fixed=True)))
+    assert t.fixed and t.limit == 100 and t.prime_pi(100) == 25
+    with pytest.raises(OutOfRangeError):
+        extend_table(t, 200)
 
 
 def test_baker_window_examples(table_100k):

@@ -78,15 +78,29 @@ def test_verify_sp_range_orders_rows(table_small):
         verify_sp_range(table_small, 5, 4)
 
 
-def test_square_and_selmer_bounds(table_wilf):
-    assert frobenius_square_bound(table_wilf, 675)
-    assert frobenius_square_bound(table_wilf, 1000)
+def test_verify_sp_range_pool_matches_one_process(table_small):
+    assert verify_sp_range(table_small, 8, 40, workers=2) == verify_sp_range(table_small, 8, 40)
+
+
+def test_bounds_take_only_lam_1(table_wilf):
+    half = build_interval_semigroup(table_wilf, table_wilf.nth_prime(700), Fraction(1, 2))
     with pytest.raises(DomainError):
-        frobenius_square_bound(table_wilf, 674)
+        frobenius_square_bound(table_wilf, half)
+    with pytest.raises(DomainError):
+        selmer_bound(table_wilf, half)
+
+
+def test_square_and_selmer_bounds(table_wilf):
+    ls = {n: build_interval_semigroup(table_wilf, table_wilf.nth_prime(n), Fraction(1))
+          for n in (8, 100, 674, 675, 1000)}
+    assert frobenius_square_bound(table_wilf, ls[675])
+    assert frobenius_square_bound(table_wilf, ls[1000])
+    with pytest.raises(DomainError):
+        frobenius_square_bound(table_wilf, ls[674])
     # n=8: f=101, k = pi(38)-8+1 = 5, rhs = 2*19*37/5
-    assert selmer_bound(table_wilf, 8)
-    assert selmer_bound(table_wilf, 100)
-    assert selmer_bound(table_wilf, 675)
+    assert selmer_bound(table_wilf, ls[8])
+    assert selmer_bound(table_wilf, ls[100])
+    assert selmer_bound(table_wilf, ls[675])
 
 
 def test_analytic_values():
