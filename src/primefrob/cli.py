@@ -33,7 +33,7 @@ from .intervals import (
     scan_rows_csv,
     staircase,
 )
-from .primes import PrimeTable, extend_table
+from .primes import PrimeTable, fixed_table
 from .semigroup import GeneratorSet, apery_set, atoms, normalize_generators
 from .wilf import density, verify_sp_range
 
@@ -143,12 +143,13 @@ def _resolve_threads(args) -> int:
 
 def _table_reaching(args, needed: int) -> PrimeTable:
     """A sieve reaching ``needed``.  A configured limit is strict: the table
-    is fixed at it, so neither this nor any later growth may pass it.
+    is fixed at it, so neither this nor any later growth may pass it, and a
+    need beyond it is refused before the sieve.
     Without one the sieve fits the request and grows when a scan needs more."""
     limit = _resolve_sieve_limit(args)
     if limit is None:
         return PrimeTable(max(needed, 2))
-    return extend_table(PrimeTable(limit, fixed=True), needed)
+    return fixed_table(limit, needed)
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -32,6 +32,22 @@ def _sieve(limit: int) -> np.ndarray:
     return is_prime
 
 
+def _checked_limit(limit: int) -> int:
+    if limit < 2:
+        raise ConfigurationError(f"sieve limit must be >= 2, got {limit}")
+    if limit > MAX_SIEVE_LIMIT:
+        raise ConfigurationError(
+            f"sieve limit {limit} exceeds the memory budget ({MAX_SIEVE_LIMIT})"
+        )
+    return int(limit)
+
+
+def _beyond_limit(needed: int, limit: int) -> OutOfRangeError:
+    return OutOfRangeError(
+        f"computation needs primes up to {needed}, beyond the configured sieve limit {limit}"
+    )
+
+
 class PrimeTable:
     """Primality oracle for [0, limit], immutable after construction.
 
@@ -46,13 +62,7 @@ class PrimeTable:
     """
 
     def __init__(self, limit: int, fixed: bool = False):
-        if limit < 2:
-            raise ConfigurationError(f"sieve limit must be >= 2, got {limit}")
-        if limit > MAX_SIEVE_LIMIT:
-            raise ConfigurationError(
-                f"sieve limit {limit} exceeds the memory budget ({MAX_SIEVE_LIMIT})"
-            )
-        self.limit = int(limit)
+        self.limit = _checked_limit(limit)
         self.fixed = fixed
         self.primality = _sieve(self.limit)
         self.prime_list = np.flatnonzero(self.primality).astype(np.int64)
@@ -115,11 +125,16 @@ def extend_table(table: PrimeTable, needed: int) -> PrimeTable:
     if needed <= table.limit:
         return table
     if table.fixed:
-        raise OutOfRangeError(
-            f"computation needs primes up to {needed}, beyond the "
-            f"configured sieve limit {table.limit}"
-        )
+        raise _beyond_limit(needed, table.limit)
     return PrimeTable(max(needed, 2 * table.limit))
+
+
+def fixed_table(limit: int, needed: int) -> PrimeTable:
+    """A table fixed at the configured ``limit``.  A ``needed`` beyond it is
+    refused before anything is sieved."""
+    if needed > _checked_limit(limit):
+        raise _beyond_limit(needed, limit)
+    return PrimeTable(limit, fixed=True)
 
 
 def table_for_nth_prime(table: PrimeTable, n: int) -> PrimeTable:

@@ -5,16 +5,23 @@ residue class r mod m the least semigroup element congruent to r.  Frobenius
 number, genus, membership, gaps and sporadic counts all read off it in O(1)
 or one linear pass.
 
-The Apery table is built one generator g at a time: a fold relaxes
+The table is held in Kunz coordinates k[r] = (apery[r] - r) / m, in
+descending class order: k[j] is the coordinate of class r = m - 1 - j, so
+class 0 sits at the end.  Coordinates stay below the largest generator, so
+they fit in 32 bits for every input with a generator below 2**29 - m; a
+larger generator widens the table to 64 bits once.  The table is built one
+generator g at a time: a fold relaxes
 
     apery[(r + g) mod m] <= apery[r] + g
 
 to a fixed point by binary doubling (t copies of g at once, t = 1, 2, 4, ...),
-O(m log m) worst case per generator.  Each step writes the rotated table plus
-the step's cost into a scratch buffer with two slice adds and takes the
-elementwise minimum in place, so a fold allocates nothing; one max() per fold
-bounds the doubling rounds.  A final pass re-relaxes every generator once and
-must change nothing.
+O(m log m) worst case per generator.  A step of cost c = q*m + s moves class r
+to r + s, q levels up, or to r + s - m, q + 1 levels up; it writes the shifted
+table into a scratch buffer with two slice adds and takes the elementwise
+minimum in place, so a fold allocates nothing.  One argmax per fold reads the
+largest Apery value exactly (the first maximum of k in descending order is the
+largest class on the top level) and bounds the doubling rounds.  A final pass
+re-relaxes every generator once and must change nothing.
 
 ``brute_force_membership`` is the independent oracle: plain coin-problem
 reachability with no modular arithmetic, for tests to diff against.
@@ -30,11 +37,18 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, InvariantViolationError, NotNumericalSemigroupError
 
-# Apery values are bounded by m * max(gens); keep far below the int64 ceiling
-# so the sentinel plus a doubled relaxation cost can never wrap.
-_INF = np.int64(1) << np.int64(62)
+# Sentinels for an unreached class.  A Kunz coordinate is below the largest
+# generator g, and a relaxation step adds q + 1 <= g levels (q = cost // m with
+# cost < m*g).  In int32 every generator stays below 2**29 - m, so the sentinel
+# plus a step stays below 2**30 + 2**29 < 2**31.  In int64 the value budget
+# keeps g below 2**57, so the sentinel plus a step stays below 2**63.
+_INF32 = 1 << 30
+_INF64 = 1 << 62
+_WIDEN_BELOW = 1 << 29
+# Apery values are bounded by m * max(gens).
 _VALUE_BUDGET = 1 << 58
-# A table and its scratch buffer cost 16 bytes per residue class: 256 MiB here.
+# A table and its scratch buffer cost 8 bytes per residue class in int32 (128
+# MiB here) and 16 bytes once widened to int64 (256 MiB).
 _MULTIPLICITY_BUDGET = 1 << 24
 
 ORACLE_BUDGET = 10_000_000
@@ -85,44 +99,59 @@ def _check_value_budget(m: int, g: int) -> None:
         raise BudgetError(f"apery values may exceed the 64-bit budget for m={m}, generator {g}")
 
 
-def _shifted(ap: np.ndarray, buf: np.ndarray, shift: int, cost: int) -> np.ndarray:
-    """Fill ``buf`` with np.roll(ap, shift) + cost without allocating."""
-    m = len(ap)
-    np.add(ap[m - shift:], cost, out=buf[:shift])
-    np.add(ap[:m - shift], cost, out=buf[shift:])
+def _shifted(k: np.ndarray, buf: np.ndarray, shift: int, q: int) -> np.ndarray:
+    """Fill ``buf`` with one relaxation step of ``k`` of cost q*m + shift,
+    without allocating: classes that stay below m rise q levels, the ``shift``
+    classes that wrap past m rise q + 1."""
+    m = len(k)
+    np.add(k[shift:], q, out=buf[:m - shift])
+    np.add(k[:shift], q + 1, out=buf[m - shift:])
     return buf
 
 
-def _fold_generator(ap: np.ndarray, buf: np.ndarray, g: int) -> int:
-    """Close ``ap`` under adding any number of copies of g, in place.
+def _top(k: np.ndarray) -> int:
+    """The largest Apery value m*k[j] + (m - 1 - j) of a Kunz table: in
+    descending class order the first maximum is the largest class on the top
+    level."""
+    m = len(k)
+    j = int(k.argmax())
+    return m * int(k[j]) + m - 1 - j
 
-    After the call ap[r] = min over t >= 0 of old_ap[(r - t*g) mod m] + t*g.
-    ``buf`` is scratch space of the same length as ``ap``.  Returns the
-    maximum after the first step, an upper bound on every entry after the fold.
+
+def _fold_generator(k: np.ndarray, buf: np.ndarray, g: int) -> int:
+    """Close the Kunz table ``k`` under adding any number of copies of g, in place.
+
+    In Apery terms, after the call apery[r] = min over t >= 0 of
+    old_apery[(r - t*g) mod m] + t*g.  ``buf`` is scratch space of the same
+    length as ``k``.  Returns the largest Apery value after the first step, an
+    upper bound on every entry after the fold.
     """
-    m = len(ap)
-    shift = g % m
+    m = len(k)
+    q, shift = divmod(g, m)
     if shift == 0:
-        return int(_INF)  # adding multiples of m never lowers a class minimum
-    np.minimum(ap, _shifted(ap, buf, shift, g), out=ap)
-    # t copies of g only help while t*g stays below the current maximum; while
-    # a class is unreached that maximum is _INF and _INF // g > m - 1.
-    top = int(ap.max())
+        return _top(k)  # adding multiples of m never lowers a class minimum
+    np.minimum(k, _shifted(k, buf, shift, q), out=k)
+    # t copies of g only help while t*g stays below the largest Apery value;
+    # while a class is unreached that value exceeds m times the sentinel and
+    # its quotient by g exceeds m - 1.
+    top = _top(k)
     t_bound = min(m - 1, top // g)
-    covered, step_shift, step_cost = 1, shift, g
+    covered, step_cost = 1, g
     while covered < t_bound:
-        step_shift = (2 * step_shift) % m
         step_cost *= 2
-        np.minimum(ap, _shifted(ap, buf, step_shift, step_cost), out=ap)
+        step_q, step_shift = divmod(step_cost, m)
+        np.minimum(k, _shifted(k, buf, step_shift, step_q), out=k)
         covered = 2 * covered + 1
     return top
 
 
-def _verify_fixed_point(ap: np.ndarray, gens: Sequence[int]) -> None:
-    buf = np.empty_like(ap)
+def _verify_fixed_point(k: np.ndarray, gens: Sequence[int]) -> None:
+    """Raise AperyError unless one more step by each generator leaves the Kunz
+    table ``k`` (descending class order) unchanged."""
+    buf = np.empty_like(k)
     for g in gens:
-        shift = g % len(ap)
-        if shift and bool((_shifted(ap, buf, shift, g) < ap).any()):
+        q, shift = divmod(g, len(k))
+        if shift and bool((_shifted(k, buf, shift, q) < k).any()):
             raise AperyError(f"relaxation not at fixed point for generator {g}")
 
 
@@ -195,7 +224,9 @@ class IncrementalApery:
 
     Adding a generator to an exact table and relaxing to a fixed point keeps
     it exact, so a growing family of semigroups (nested generator sets) costs
-    one fold per new generator instead of one full build per member.
+    one fold per new generator instead of one full build per member.  The
+    table ``k`` holds Kunz coordinates in descending class order, in int32
+    until a generator reaches 2**29 - m and in int64 from then on.
     """
 
     def __init__(self, multiplicity: int):
@@ -204,42 +235,57 @@ class IncrementalApery:
         if multiplicity > _MULTIPLICITY_BUDGET:
             raise BudgetError(f"multiplicity {multiplicity} over the budget {_MULTIPLICITY_BUDGET}")
         self.multiplicity = multiplicity
-        self.ap = np.full(multiplicity, _INF, dtype=np.int64)
-        self.ap[0] = 0
-        self._buf = np.empty_like(self.ap)
+        self.k = np.full(multiplicity, _INF32, dtype=np.int32)
+        self.k[-1] = 0
+        self._buf = np.empty_like(self.k)
+        self._inf = _INF32
+        self._widen_at = _WIDEN_BELOW - multiplicity
         self._complete = False
         self.generators: list[int] = [multiplicity]
 
+    def _widen(self) -> None:
+        """Move the table to int64 for good, remapping the sentinel."""
+        k = self.k.astype(np.int64)
+        k[k == self._inf] = _INF64
+        self.k, self._buf, self._inf = k, np.empty_like(k), _INF64
+        self._widen_at = math.inf
+
     def add(self, g: int) -> int:
-        """Fold in generator g; returns an upper bound on every table entry."""
+        """Fold in generator g; returns the largest Apery value after the
+        fold's first step, an upper bound on every value after the fold."""
         if g < self.multiplicity:
             raise DomainError("generators must be added in ascending order from m")
         _check_value_budget(self.multiplicity, g)
+        if g >= self._widen_at:
+            self._widen()
         self.generators.append(int(g))
-        return _fold_generator(self.ap, self._buf, int(g))
+        return _fold_generator(self.k, self._buf, int(g))
 
     @property
     def complete(self) -> bool:
         # entries only ever fall, so a table once complete stays complete
         if not self._complete:
-            self._complete = int(self.ap.max()) < _INF
+            self._complete = int(self.k[self.k.argmax()]) < self._inf
         return self._complete
 
     def profile(self, verify: bool = False) -> AperyProfile:
         if not self.complete:
             raise AperyError("some residue class is still unreachable")
-        m, ap = self.multiplicity, self.ap.copy()
+        m, k = self.multiplicity, self.k
         if verify:
-            _verify_fixed_point(ap, self.generators)
-        frobenius = int(ap.max()) - m
-        genus = int((ap[1:] // m).sum())
+            _verify_fixed_point(k, self.generators)
+        # astype before scaling: an int32 product would wrap
+        ap = k[::-1].astype(np.int64)
+        ap *= m
+        ap += np.arange(m, dtype=np.int64)
         ap.setflags(write=False)
-        return AperyProfile(multiplicity=m, apery=ap, frobenius=frobenius, genus=genus)
+        return AperyProfile(multiplicity=m, apery=ap, frobenius=_top(k) - m,
+                            genus=int(k.sum(dtype=np.int64)))
 
     def frobenius(self) -> int:
         if not self.complete:
             raise AperyError("some residue class is still unreachable")
-        return int(self.ap.max()) - self.multiplicity
+        return _top(self.k) - self.multiplicity
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,19 @@ def test_scans_honour_an_explicit_sieve_limit(capsys, monkeypatch, argv, limit, 
     assert f"configured sieve limit {limit}" in err
 
 
+def test_sieve_limit_is_checked_before_sieving(capsys, monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved past a limit the request cannot fit")
+
+    monkeypatch.setattr("primefrob.cli.PrimeTable", no_sieve)
+    monkeypatch.setattr("primefrob.primes.PrimeTable", no_sieve)
+    code, out, err = run(
+        capsys, ["frobenius", "--p", "10000019", "--lambda", "1", "--sieve-limit", "20000000"]
+    )
+    assert code == 2 and out == ""
+    assert "beyond the configured sieve limit 20000000" in err
+
+
 def test_sieve_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("PRIMEFROB_SIEVE_LIMIT", "30")
     assert run(capsys, ["frobenius", "--p", "23", "--lambda", "1"])[0] == 2

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primefrob.errors import DomainError, OutOfRangeError
+from primefrob.errors import ConfigurationError, DomainError, OutOfRangeError
 from primefrob.primes import (
     PrimeTable,
     baker_window,
     build_table,
     extend_table,
+    fixed_table,
     table_for_nth_prime,
     verify_literature_bounds,
 )
@@ -109,6 +110,14 @@ def test_fixed_table_never_grows():
     with pytest.raises(OutOfRangeError, match="p_26, beyond the configured sieve limit 100"):
         table_for_nth_prime(t, 26)
     assert not extend_table(PrimeTable(100), 101).fixed
+
+
+def test_fixed_table_checks_the_limit_then_the_need():
+    assert fixed_table(100, 100).fixed
+    with pytest.raises(OutOfRangeError, match="primes up to 101, beyond the configured sieve limit 100"):
+        fixed_table(100, 101)
+    with pytest.raises(ConfigurationError, match="must be >= 2"):  # the limit is checked first
+        fixed_table(1, 101)
 
 
 def test_fixed_table_survives_pickling():

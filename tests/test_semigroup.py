@@ -212,6 +212,32 @@ def test_overflow_budget_guard():
         apery_set(GeneratorSet((2**30 + 1, 2**30 + 3)))
 
 
+# Kunz coordinates stay in int32 while every generator is below 2**29 - m.
+@pytest.mark.parametrize("gens,dtype", [
+    ((3, 2**29 + 2), np.int64),   # widens on the first add
+    ((3, 536870905), np.int32),   # m + g just below 2**29
+])
+def test_dtype_boundary_matches_sylvester(gens, dtype):
+    inc = IncrementalApery(gens[0])
+    inc.add(gens[1])
+    assert inc.k.dtype == dtype
+    profile = apery_set(GeneratorSet(gens))
+    assert profile.frobenius == sylvester_frobenius(*gens)
+    assert profile.genus == sylvester_genus(*gens)
+
+
+def test_widening_mid_build_keeps_the_table():
+    inc = IncrementalApery(5)
+    inc.add(7)
+    assert inc.k.dtype == np.int32
+    inc.add(2**29 + 3)
+    assert inc.k.dtype == np.int64
+    _, small = build([5, 7])
+    profile = inc.profile(verify=True)
+    assert (profile.apery == small.apery).all()
+    assert (profile.frobenius, profile.genus) == (small.frobenius, small.genus)
+
+
 def test_multiplicity_budget_raises_before_allocating():
     tracemalloc.start()
     try:
@@ -250,16 +276,23 @@ def test_batch_and_incremental_builds_match_reachability_oracle(gen_set):
     inc = IncrementalApery(gen_set.multiplicity)
     for g in gen_set.generators[1:]:
         inc.add(g)
+        if inc.complete:  # ties in the top level decide the largest class
+            assert inc.frobenius() == int(inc.profile().apery.max()) - gen_set.multiplicity
     grown = inc.profile(verify=True)
+    gaps = np.flatnonzero(~oracle)
     for profile in (batch, grown):
         assert (profile.contains_many(np.arange(n_max + 1)) == oracle).all()
+        assert profile.frobenius == int(gaps.max(initial=-1))
+        assert profile.genus == len(gaps)
     assert (batch.apery == grown.apery).all()
 
 
 def test_verify_fixed_point_rejects_a_lowered_entry():
-    gen_set, profile = build([3, 5])
-    ap = profile.apery.copy()
-    _verify_fixed_point(ap, gen_set.generators)
-    ap[2] -= 3  # class 2 now claims 2, so class 1 could reach 2 + 5 < 10
+    gen_set = normalize_generators([3, 5])
+    inc = IncrementalApery(3)
+    inc.add(5)
+    k = inc.k.copy()  # Kunz coordinates, class r at index m - 1 - r
+    _verify_fixed_point(k, gen_set.generators)
+    k[3 - 1 - 2] -= 1  # class 2 now claims 2, so class 1 could reach 2 + 5 < 10
     with pytest.raises(AperyError):
-        _verify_fixed_point(ap, gen_set.generators)
+        _verify_fixed_point(k, gen_set.generators)
