@@ -43,16 +43,18 @@ ENV_THREADS = "PRIMEFROB_THREADS"
 
 def decimal6(value: Fraction | int) -> str:
     """Exact decimal with 6 fractional digits, round-half-even, no floats."""
-    fr = Fraction(value)
-    sign = "-" if fr < 0 else ""
-    num, den = abs(fr.numerator) * 10**6, fr.denominator
-    q, r = divmod(num, den)
+    # int and Fraction both carry numerator and denominator (> 0) in lowest terms
+    num, den = value.numerator, value.denominator
+    sign = "-" if num < 0 else ""
+    q, r = divmod(abs(num) * 10**6, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
     return f"{sign}{q // 10**6}.{q % 10**6:06d}"
 
 
 def _cell_csv(v: Any) -> str:
+    if type(v) is int:  # most scan cells; bool is not int by this test
+        return str(v)
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -301,13 +303,14 @@ GOLDBACH_COLUMNS = ["N", "m", "parts", "max_deviation", "bound_type", "bound_lim
 def _cmd_goldbach(args) -> int:
     n = args.N
     table = _table_reaching(args, n + 16)
+    theta = parse_lambda(args.theta)
     if args.delta is not None:
         delta = Fraction(parse_lambda(args.delta))
-        cert = decompose_m(table, n, args.m, delta, theta=args.theta)
+        cert = decompose_m(table, n, args.m, delta, theta=theta)
     else:
         if args.m != 3:
             raise DomainError("an m != 3 decomposition needs --delta")
-        cert = ternary_decomp(table, n, theta=args.theta)
+        cert = ternary_decomp(table, n, theta=theta)
     row = {
         "N": cert.N,
         "m": cert.m,
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gold.add_argument("--N", type=int, required=True)
     p_gold.add_argument("--m", type=int, default=3, help="number of parts (default 3)")
     p_gold.add_argument("--delta", help="relative deviation bound as a fraction, e.g. 1/20")
-    p_gold.add_argument("--theta", type=float, default=0.6,
+    p_gold.add_argument("--theta", default="3/5",
                         help="window exponent for three-part splits")
     _add_common(p_gold, default_format="json")
     p_gold.set_defaults(handler=_cmd_goldbach)

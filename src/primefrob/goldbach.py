@@ -21,11 +21,20 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DecompositionError, DomainError, InvariantViolationError
-from .primes import PrimeTable, extend_table, parallel_map, table_for_nth_prime
+from .primes import (
+    BAKER_EXPONENT,
+    PrimeTable,
+    extend_table,
+    floor_power,
+    parallel_map,
+    table_for_nth_prime,
+)
 from .semigroup import AperyProfile, IncrementalApery
 
 BOUND_DELTA = "delta"      # strict: |m*q_i - N| < m*delta*N
 BOUND_WINDOW = "n_theta"   # inclusive: |m*q_i - N| <= m*floor(N^theta)
+# keeps N**a, from which floor(N^(a/b)) is rooted, to a bounded size
+MAX_THETA_DENOMINATOR = 1000
 
 
 @dataclass(frozen=True)
@@ -110,20 +119,35 @@ def _three_primes(
     return None
 
 
-def ternary_decomp(table: PrimeTable, n: int, theta: float = 0.6) -> DecompCertificate:
+def _window_exponent(theta: Fraction | float) -> Fraction:
+    """theta as an exact rational in (0, 1]; a float is read by its decimal
+    form, so 0.6 means 3/5."""
+    theta = Fraction(str(theta)) if isinstance(theta, float) else Fraction(theta)
+    if not 0 < theta <= 1 or theta.denominator > MAX_THETA_DENOMINATOR:
+        raise DomainError(
+            f"theta must lie in (0, 1] with a denominator of at most "
+            f"{MAX_THETA_DENOMINATOR}, got {theta}"
+        )
+    return theta
+
+
+def ternary_decomp(
+    table: PrimeTable, n: int, theta: Fraction | float = Fraction(3, 5)
+) -> DecompCertificate:
     """n (odd, >= 9) as three primes, each within floor(n^theta) of n/3."""
     if n % 2 == 0 or n < 9:
         raise DomainError(f"need an odd n >= 9, got {n}")
     if n > table.limit:
         raise DomainError(f"n={n} exceeds the sieve limit {table.limit}")
-    w = int(n ** theta)
+    theta = _window_exponent(theta)
+    w = floor_power(n, theta)
     lo = -((-(n - 3 * w)) // 3)  # ceil((n-3w)/3)
     hi = (n + 3 * w) // 3
     parts = _three_primes(table, n, lo, hi)
     if parts is None:
         raise DecompositionError(
             f"no three-prime split of {n} with parts in [{lo}, {hi}] "
-            f"(window floor(n^{theta}) = {w})"
+            f"(window floor(n^({theta})) = {w})"
         )
     max_dev = max(abs(3 * q - n) for q in parts)
     return DecompCertificate(
@@ -142,7 +166,7 @@ def decompose_m(
     n: int,
     m: int,
     delta: Fraction,
-    theta: float = 0.6,
+    theta: Fraction | float = Fraction(3, 5),
 ) -> DecompCertificate:
     """n as m primes with every part strictly within delta*n of n/m.
 
@@ -173,7 +197,7 @@ def decompose_m(
             )
     else:
         center = n // m
-        reach = int(center ** (21 / 40))
+        reach = floor_power(center, BAKER_EXPONENT)
         window = table.primes_in(max(2, center - reach), center)
         if len(window) == 0:
             raise DecompositionError(
@@ -226,8 +250,9 @@ def tail_frobenius(table: PrimeTable, n: int, max_rounds: int = 20) -> TailProfi
     """Frobenius number of the semigroup generated by all primes >= p_n.
 
     Start from the truncation B = 4*p_n + 2n and fold primes of [p_n, B]
-    ascending; a prime above every current Apery value can no longer change
-    the table, so folding stops early.  If the computed f fits under B the
+    ascending.  A prime that is already a member is skipped, since its fold
+    would change nothing, and a prime above every current Apery value ends
+    the folding early.  If the computed f fits under B the
     truncated semigroup equals the full one and the answer is exact;
     otherwise B doubles and the build repeats.
     """
@@ -243,6 +268,8 @@ def tail_frobenius(table: PrimeTable, n: int, max_rounds: int = 20) -> TailProfi
         for q in table.primes_in(p_n + 1, bound).tolist():
             if top is not None and q > top:
                 break  # every later prime is even larger; the table is final
+            if inc.contains(q):
+                continue  # a member's fold would change nothing
             top = inc.add(q)
         if inc.complete:
             f = inc.frobenius()

@@ -108,11 +108,14 @@ def build_interval_semigroup(table: PrimeTable, p: int, lam: Fraction) -> Lambda
 
 def staircase(lam: Fraction) -> int:
     """Conjectured limiting value of f/p: 2 + floor(2/lam) for lam <= 1, else 3."""
-    if lam <= 0:
+    # integer tests on the lowest-terms pair (denominator > 0) stay off
+    # Fraction's comparison machinery, which a scan calls once per row
+    num, den = lam.numerator, lam.denominator
+    if num <= 0:
         raise DomainError(f"ratio must be positive, got {lam}")
-    if lam > 1:
+    if num > den:
         return 3
-    return 2 + (2 * lam.denominator) // lam.numerator
+    return 2 + (2 * den) // num
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,13 @@ def ratio_scan(
     """
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    grid = sorted(set(Fraction(x) for x in xs))
+    # sort, then drop adjacent repeats: an ascending grid costs one linear
+    # pass, where a set would scatter it into hash order for the sort to
+    # undo; Fractions are immutable, so they are kept rather than rebuilt
+    grid: list[Fraction] = []
+    for x in sorted(v if type(v) is Fraction else Fraction(v) for v in xs):
+        if not grid or x != grid[-1]:
+            grid.append(x)
     if not grid:
         return []
     if grid[0] <= 1:
@@ -164,16 +173,16 @@ def ratio_scan(
         raise OutOfRangeError(
             f"scan reaches {hi_last}, beyond the sieve limit {table.limit}"
         )
-    qs = table.primes_in(p, hi_last)
+    qs = table.primes_in(p, hi_last).tolist()
     inc = IncrementalApery(p)
     points: list[StaircasePoint] = []
     idx = 1  # qs[0] == p, already in the table
     for x in grid:
         hi = _floor_mul(x, p)
         while idx < len(qs) and qs[idx] <= hi:
-            inc.add(int(qs[idx]))
+            inc.add(qs[idx])
             idx += 1
-        lam = x - 1
+        lam = Fraction(x.numerator - x.denominator, x.denominator)  # x - 1
         if idx < 2:
             points.append(
                 StaircasePoint(p, x, lam, False, None, None, staircase(lam))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable
 
@@ -191,15 +192,30 @@ class PrimeWindow:
         return len(self.primes)
 
 
-def baker_window(table: PrimeTable, p: int) -> PrimeWindow:
-    """Window [p, p + floor(p**0.525)] with its primes.
+# 21/40 = 0.525, the best known short-interval prime guarantee
+BAKER_EXPONENT = Fraction(21, 40)
 
-    The exponent 0.525 is the best known short-interval prime guarantee;
-    the window upper bound floors conservatively since only integers matter.
-    """
+
+def floor_power(n: int, exponent: Fraction) -> int:
+    """floor(n ** (a/b)) for n >= 0 and exponent a/b >= 0, exactly: the
+    integer b-th root of n**a, from a float estimate corrected by integer
+    comparisons."""
+    a, b = exponent.numerator, exponent.denominator
+    target = n ** a
+    root = int(n ** (a / b))
+    while root ** b > target:
+        root -= 1
+    while (root + 1) ** b <= target:
+        root += 1
+    return root
+
+
+def baker_window(table: PrimeTable, p: int) -> PrimeWindow:
+    """Window [p, p + floor(p**(21/40))] with its primes, the window width
+    in exact integers."""
     if p < 2:
         raise DomainError(f"window base must be >= 2, got {p}")
-    hi = p + int(p ** 0.525)
+    hi = p + floor_power(p, BAKER_EXPONENT)
     table._check_range(hi, "window end")
     est = 0.09 * p ** 0.525 / math.log(p)
     return PrimeWindow(lo=p, hi=hi, primes=table.primes_in(p, hi), lower_estimate=est)

@@ -261,6 +261,14 @@ class IncrementalApery:
         self.generators.append(int(g))
         return _fold_generator(self.k, self._buf, int(g))
 
+    def contains(self, n: int) -> bool:
+        """Membership of n in the semigroup generated so far, in O(1):
+        apery[n mod m] <= n, read in Kunz coordinates.  Exact before
+        completion too, since an unreached class holds the sentinel."""
+        m = self.multiplicity
+        level = int(self.k[m - 1 - n % m])
+        return level <= n // m and level < self._inf
+
     @property
     def complete(self) -> bool:
         # entries only ever fall, so a table once complete stays complete

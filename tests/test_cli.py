@@ -1,11 +1,14 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primefrob.cli import _resolve_threads, decimal6, main
 
@@ -38,6 +41,24 @@ def test_decimal6_half_even_ties():
     assert decimal6(Fraction(1, 2_000_000)) == "0.000000"
     assert decimal6(Fraction(3, 2_000_000)) == "0.000002"
     assert decimal6(Fraction(-3, 2_000_000)) == "-0.000002"
+
+
+def decimal6_reference(value):
+    fr = Fraction(value)
+    q = round(abs(fr) * 10**6)  # Fraction rounds half to even
+    return ("-" if fr < 0 else "") + f"{q // 10**6}.{q % 10**6:06d}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.fractions(max_denominator=10**9),
+    # exact ties at the sixth digit, both signs
+    st.builds(lambda k, sign: Fraction(sign * (2 * k + 1), 2 * 10**6),
+              st.integers(min_value=0, max_value=10**9), st.sampled_from((1, -1))),
+))
+def test_decimal6_matches_a_fraction_reference(value):
+    assert decimal6(value) == decimal6_reference(value)
 
 
 # ---------------------------------------------------------------- frobenius
@@ -117,6 +138,19 @@ def test_lambda_scan_figure_mode(capsys, tmp_path):
     assert [r["f"] for r in rows] == ["395", "131", "101", "101", "63", "63", "63", "63"]
     assert rows[0]["two_primes"] == "true"
     assert rows[-1]["ratio"] == decimal6(Fraction(63, 19))
+
+
+def test_figure_mode_csv_bytes_are_pinned(capsys, tmp_path):
+    out_file = tmp_path / "scan.csv"
+    code, out, _ = run(
+        capsys, ["lambda-scan", "--p", "48623", "--figure-mode", "-o", str(out_file)]
+    )
+    assert code == 0 and out.startswith("8494 grid points at p=48623")
+    data = out_file.read_bytes()
+    assert len(data) == 426_680
+    assert hashlib.sha256(data).hexdigest() == (
+        "c6b92f7f6f073ced620529c422043c8788467dd5dc7e496d1e7ec4a3c36a4aab"
+    )
 
 
 def test_lambda_scan_explicit_grid_and_skip(capsys):
@@ -249,6 +283,16 @@ def test_goldbach_errors(capsys):
     # tiny window: search fails, which is an internal failure, not misuse
     assert run(capsys, ["goldbach", "--N", "11", "--theta", "0.1",
                         "--sieve-limit", "1000"])[0] == 1
+
+
+def test_goldbach_theta_is_exact(capsys):
+    # floor(243^(3/5)) = 27, one more than the float power gives
+    for theta in ("3/5", "0.6"):
+        code, out, _ = run(capsys, ["goldbach", "--N", "243", "--theta", theta])
+        assert code == 0 and json.loads(out)["bound_limit"] == "81"
+    for theta in ("1/1001", "3/2", "0"):
+        code, out, err = run(capsys, ["goldbach", "--N", "243", "--theta", theta])
+        assert code == 2 and out == "" and "primefrob:" in err
 
 
 # ---------------------------------------------------------------- small commands

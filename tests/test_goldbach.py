@@ -46,6 +46,20 @@ def test_ternary_examples(table_100k):
         ternary_decomp(table_100k, 11, 0.1)
 
 
+def test_ternary_window_is_exact_at_fifth_powers(table_100k):
+    # floor(n^(3/5)) at 3**5 and 9**5; the float power falls one short at both
+    for n, w in ((243, 27), (59049, 729)):
+        c = ternary_decomp(table_100k, n)
+        assert c.bound_limit == 3 * w and c.validate(table_100k)
+        assert ternary_decomp(table_100k, n, 0.6) == c  # a float reads as 3/5
+
+
+def test_ternary_theta_is_bounded(table_100k):
+    for theta in (Fraction(1, 1001), Fraction(0), Fraction(3, 2), -0.5):
+        with pytest.raises(DomainError):
+            ternary_decomp(table_100k, 10001, theta)
+
+
 def test_decompose_m_examples(table_100k):
     c = decompose_m(table_100k, 20, 4, Fraction(1, 5))
     assert c.parts == (5, 5, 5, 5) and c.max_deviation == 0 and c.validate(table_100k)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -90,6 +91,12 @@ def test_staircase_non_increasing(a1, b1, a2, b2):
         assert staircase(lam2) == 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6))
+def test_staircase_matches_its_formula(lam):
+    assert staircase(lam) == (2 + math.floor(2 / lam) if lam <= 1 else 3)
+
+
 def test_frobenius_monotone_in_lambda(table_100k):
     rng = random.Random(510)
     primes = table_100k.primes_in(3, 5_000)
@@ -130,6 +137,17 @@ def test_ratio_scan_flags_thin_intervals(table_small):
     pts = ratio_scan(table_small, 23, [Fraction(11, 10), Fraction(2)])
     assert pts[0].skipped and pts[0].f is None
     assert not pts[1].skipped and pts[1].f == 102
+
+
+def test_ratio_scan_grid_matches_sorted_set(table_small):
+    # unsorted, with repeats, ints among the Fractions
+    xs = [Fraction(5, 2), 2, Fraction(23, 19), Fraction(4, 2), 3, Fraction(5, 2),
+          Fraction(29, 19), Fraction(6, 2), Fraction(23, 19)]
+    reference = sorted(set(Fraction(x) for x in xs))
+    pts = ratio_scan(table_small, 19, xs)
+    assert [pt.x for pt in pts] == reference
+    assert all(type(pt.x) is Fraction and pt.lam == pt.x - 1 for pt in pts)
+    assert pts == ratio_scan(table_small, 19, reference)
 
 
 def test_ratio_scan_non_increasing_small(table_small):

@@ -1,4 +1,5 @@
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from primefrob.primes import (
     build_table,
     extend_table,
     fixed_table,
+    floor_power,
     table_for_nth_prime,
     verify_literature_bounds,
 )
@@ -137,6 +139,16 @@ def test_baker_window_examples(table_100k):
     assert w.hi == 10007 + int(10007**0.525)
     assert all(table_100k.is_prime(int(q)) for q in w.primes)
     assert w.lower_estimate > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**40),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=60))
+def test_floor_power_is_the_integer_root(n, b, a):
+    e = Fraction(min(a, b), b)
+    r = floor_power(n, e)
+    assert r >= 0
+    assert r**e.denominator <= n**e.numerator < (r + 1) ** e.denominator
 
 
 def test_window_never_empty_in_range(table_100k):

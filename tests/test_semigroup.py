@@ -287,6 +287,26 @@ def test_batch_and_incremental_builds_match_reachability_oracle(gen_set):
     assert (batch.apery == grown.apery).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(kernel_generators())
+def test_contains_matches_reachability_oracle_after_every_add(gen_set):
+    gens = gen_set.generators
+    n_max = gens[0] * gens[-1]
+    inc = IncrementalApery(gens[0])
+    for i in range(1, len(gens)):
+        inc.add(gens[i])  # the prefix may still have gcd > 1: incomplete
+        oracle = brute_force_membership(GeneratorSet(gens[: i + 1]), n_max)
+        assert [inc.contains(n) for n in range(n_max + 1)] == oracle.tolist()
+        assert not inc.contains(-1)
+
+
+def test_contains_respects_the_sentinel_far_out():
+    inc = IncrementalApery(4)
+    inc.add(6)  # classes 1 and 3 stay unreached
+    n = 4 * 2**31 + 1  # n // m passes the int32 sentinel
+    assert not inc.contains(n) and inc.contains(n + 1)
+
+
 def test_verify_fixed_point_rejects_a_lowered_entry():
     gen_set = normalize_generators([3, 5])
     inc = IncrementalApery(3)
