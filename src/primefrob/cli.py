@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import DecompositionError, DomainError, InvariantViolationError
-from .goldbach import decompose_m, sn_scan, tail_frobenius, ternary_decomp
+from .goldbach import decompose_m, sn_scan, tail_frobenius, ternary_decomp, ternary_window
 from .intervals import (
     build_interval_semigroup,
     figure_grid,
@@ -302,8 +302,10 @@ GOLDBACH_COLUMNS = ["N", "m", "parts", "max_deviation", "bound_type", "bound_lim
 
 def _cmd_goldbach(args) -> int:
     n = args.N
-    table = _table_reaching(args, n + 16)
     theta = parse_lambda(args.theta)
+    # for theta near 1 the ternary window passes N + 16
+    needed = n + 16 if n < 0 else max(n + 16, ternary_window(n, theta)[2])
+    table = _table_reaching(args, needed)
     if args.delta is not None:
         delta = Fraction(parse_lambda(args.delta))
         cert = decompose_m(table, n, args.m, delta, theta=theta)

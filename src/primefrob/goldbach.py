@@ -131,6 +131,14 @@ def _window_exponent(theta: Fraction | float) -> Fraction:
     return theta
 
 
+def ternary_window(n: int, theta: Fraction | float) -> tuple[int, int, int]:
+    """(w, lo, hi) for n >= 0: w = floor(n^theta), and the three parts lie in
+    [lo, hi] = [ceil((n - 3w)/3), floor((n + 3w)/3)].  theta is checked before
+    n^theta is formed."""
+    w = floor_power(n, _window_exponent(theta))
+    return w, -((-(n - 3 * w)) // 3), (n + 3 * w) // 3
+
+
 def ternary_decomp(
     table: PrimeTable, n: int, theta: Fraction | float = Fraction(3, 5)
 ) -> DecompCertificate:
@@ -140,9 +148,7 @@ def ternary_decomp(
     if n > table.limit:
         raise DomainError(f"n={n} exceeds the sieve limit {table.limit}")
     theta = _window_exponent(theta)
-    w = floor_power(n, theta)
-    lo = -((-(n - 3 * w)) // 3)  # ceil((n-3w)/3)
-    hi = (n + 3 * w) // 3
+    w, lo, hi = ternary_window(n, theta)
     parts = _three_primes(table, n, lo, hi)
     if parts is None:
         raise DecompositionError(

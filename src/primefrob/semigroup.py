@@ -20,8 +20,12 @@ to r + s, q levels up, or to r + s - m, q + 1 levels up; it writes the shifted
 table into a scratch buffer with two slice adds and takes the elementwise
 minimum in place, so a fold allocates nothing.  One argmax per fold reads the
 largest Apery value exactly (the first maximum of k in descending order is the
-largest class on the top level) and bounds the doubling rounds.  A final pass
-re-relaxes every generator once and must change nothing.
+largest class on the top level) and bounds the doubling rounds.  A certificate
+closes the build: one more step by each generator lowers no entry (fixed
+point: apery <= the Apery set), and each nonzero class equals some step into
+it (attainment: following steps back ends at class 0, so apery >= the Apery
+set).  The same loop yields the atoms: m, and each g = apery[g mod m] whose
+class no step from a nonzero class reaches.
 
 ``brute_force_membership`` is the independent oracle: plain coin-problem
 reachability with no modular arithmetic, for tests to diff against.
@@ -145,14 +149,31 @@ def _fold_generator(k: np.ndarray, buf: np.ndarray, g: int) -> int:
     return top
 
 
-def _verify_fixed_point(k: np.ndarray, gens: Sequence[int]) -> None:
-    """Raise AperyError unless one more step by each generator leaves the Kunz
-    table ``k`` (descending class order) unchanged."""
+def _verify_fixed_point(k: np.ndarray, gens: Sequence[int]) -> tuple[int, ...]:
+    """Certify the Kunz table ``k`` (descending class order) as the Apery table
+    of the semigroup generated by ``gens`` or raise AperyError; return the
+    atoms among ``gens``.  Per class, ``low`` is the cheapest step into it from
+    a nonzero class and ``zero`` the cheapest from class 0."""
+    m = len(k)
     buf = np.empty_like(k)
+    low = np.full_like(k, np.iinfo(k.dtype).max)
+    zero = low.copy()
     for g in gens:
-        q, shift = divmod(g, len(k))
-        if shift and bool((_shifted(k, buf, shift, q) < k).any()):
-            raise AperyError(f"relaxation not at fixed point for generator {g}")
+        q, shift = divmod(g, m)
+        if shift:
+            j = m - 1 - shift  # the class g reaches from class 0
+            sh = _shifted(k, buf, shift, q)
+            zero[j] = min(zero[j], sh[j])
+            sh[j] = low[j]
+            np.minimum(low, sh, out=low)
+    if k[-1] != 0 or bool((np.minimum(low, zero) < k).any()):
+        raise AperyError("relaxation not at fixed point")
+    own = (zero == k) & (low != k)  # an atom's class: reached from class 0 only
+    if not bool(((low == k) | own)[:-1].all()):
+        raise AperyError("an entry is not attained by any generator step")
+    j = np.flatnonzero(own)
+    found = set((m * k[j].astype(np.int64) + m - 1 - j).tolist())
+    return tuple(g for g in gens if g == m or g in found)
 
 
 @dataclass(frozen=True)
@@ -167,6 +188,7 @@ class AperyProfile:
     apery: np.ndarray
     frobenius: int
     genus: int
+    atoms: tuple[int, ...] | None = None  # minimal generators, once certified
 
     def contains(self, n: int) -> bool:
         """Membership in O(1): n >= 0 and n >= apery[n mod m]."""
@@ -210,13 +232,16 @@ class AperyProfile:
         return count, self.members_below(cutoff)
 
 
-def apery_set(gens: GeneratorSet, verify: bool = True) -> AperyProfile:
-    """Compute the AperyProfile of the semigroup generated by ``gens``."""
+def apery_set(gens: GeneratorSet) -> AperyProfile:
+    """The certified AperyProfile of the semigroup generated by ``gens``.  A
+    member generator is not folded: it adds nothing and is no atom, and as
+    folds only lower entries the certified table still holds it."""
     _check_value_budget(gens.multiplicity, gens.generators[-1])
     builder = IncrementalApery(gens.multiplicity)
     for g in gens.generators[1:]:
-        builder.add(g)
-    return builder.profile(verify=verify)
+        if not builder.contains(g):
+            builder.add(g)
+    return builder.profile(verify=True)
 
 
 class IncrementalApery:
@@ -280,15 +305,14 @@ class IncrementalApery:
         if not self.complete:
             raise AperyError("some residue class is still unreachable")
         m, k = self.multiplicity, self.k
-        if verify:
-            _verify_fixed_point(k, self.generators)
+        found = _verify_fixed_point(k, self.generators) if verify else None
         # astype before scaling: an int32 product would wrap
         ap = k[::-1].astype(np.int64)
         ap *= m
         ap += np.arange(m, dtype=np.int64)
         ap.setflags(write=False)
         return AperyProfile(multiplicity=m, apery=ap, frobenius=_top(k) - m,
-                            genus=int(k.sum(dtype=np.int64)))
+                            genus=int(k.sum(dtype=np.int64)), atoms=found)
 
     def frobenius(self) -> int:
         if not self.complete:
@@ -306,22 +330,15 @@ class AtomSet:
 
 
 def atoms(profile: AperyProfile, gens: GeneratorSet) -> AtomSet:
-    """Minimal generators among ``gens``: g is an atom iff no semigroup
-    element s with 0 < s <= g/2 has g - s in the semigroup.
-
-    Works off membership queries only, so a non-minimal input list is fine.
-    """
-    top = gens.generators[-1]
-    n = np.arange(top + 1, dtype=np.int64)
-    member = n >= profile.apery[n % profile.multiplicity]
-    out = []
-    for g in gens:
-        half = g // 2
-        lo = member[1 : half + 1]
-        hi = member[g - 1 : g - half - 1 : -1]
-        if not bool((lo & hi).any()):
-            out.append(g)
-    return AtomSet(tuple(out))
+    """Minimal generators among ``gens``, a possibly non-minimal list that
+    generates the profile's semigroup.  That set is unique, so a certified
+    profile answers from its certificate; otherwise the certifying pass runs
+    on the profile's table, in O(m) memory."""
+    if profile.atoms is not None:
+        return AtomSet(profile.atoms)
+    m = profile.multiplicity
+    k = ((profile.apery - np.arange(m)) // m)[::-1]  # Kunz, descending
+    return AtomSet(_verify_fixed_point(k, gens.generators))
 
 
 def brute_force_membership(gens: GeneratorSet, n_max: int) -> np.ndarray:

@@ -100,6 +100,15 @@ def test_frobenius_error_paths(capsys):
     )[0] == 2
 
 
+def test_frobenius_with_a_far_generator_needs_no_value_range(capsys):
+    # the atoms come from the certificate over 3 classes, not from a table
+    # of every integer up to 536870914
+    code, out, _ = run(capsys, ["frobenius", "--gens", "3,536870914", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"m": 3, "f": 1073741825, "g": 536870913, "e": 2,
+                               "sporadic": 536870913}
+
+
 def test_budget_overruns_exit_2(capsys):
     # apery values past the 64-bit budget, then a table too large to allocate
     for gens in ("1073741827,1073741831", "268435459,268435463"):
@@ -293,6 +302,18 @@ def test_goldbach_theta_is_exact(capsys):
     for theta in ("1/1001", "3/2", "0"):
         code, out, err = run(capsys, ["goldbach", "--N", "243", "--theta", theta])
         assert code == 2 and out == "" and "primefrob:" in err
+
+
+def test_goldbach_sieve_covers_a_wide_theta_window(capsys):
+    # at theta = 1 the parts may reach (N + 3N)/3 = 13334, past N + 16
+    code, out, _ = run(capsys, ["goldbach", "--N", "10001", "--theta", "1"])
+    assert code == 0
+    row = json.loads(out)
+    assert row["parts"] == [3323, 3331, 3347] and row["valid"] is True
+    code, out, err = run(capsys, ["goldbach", "--N", "10001", "--theta", "1",
+                                  "--sieve-limit", "12000"])
+    assert code == 2 and out == ""
+    assert "beyond the configured sieve limit 12000" in err
 
 
 # ---------------------------------------------------------------- small commands

@@ -316,3 +316,52 @@ def test_verify_fixed_point_rejects_a_lowered_entry():
     k[3 - 1 - 2] -= 1  # class 2 now claims 2, so class 1 could reach 2 + 5 < 10
     with pytest.raises(AperyError):
         _verify_fixed_point(k, gen_set.generators)
+
+
+def test_verify_fixed_point_rejects_an_unattained_table():
+    # ap[r] = r is at a fixed point (no step lowers an entry) but no class
+    # except 0 holds a sum of generators; it would report f = -1
+    with pytest.raises(AperyError):
+        _verify_fixed_point(np.zeros(23, np.int32), [23, 29, 31, 37, 41, 43])
+
+
+def test_atoms_need_memory_of_the_table_not_of_the_values():
+    gen_set = GeneratorSet((3, 2**22 + 1))
+    tracemalloc.start()
+    try:
+        at = atoms(apery_set(gen_set), gen_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert at.atoms == gen_set.generators
+    assert peak < 1 << 20
+
+
+@st.composite
+def redundant_generators(draw):
+    m = draw(st.integers(min_value=2, max_value=30))
+    gens = [m, *draw(st.lists(st.integers(min_value=m + 1, max_value=5 * m),
+                              min_size=1, max_size=5))]
+    gens.append(draw(st.integers(min_value=2, max_value=4)) * m)  # a multiple of m
+    gens.append(gens[1] + gens[-2])  # a member of the others
+    assume(math.gcd(*gens) == 1)
+    return normalize_generators(gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(redundant_generators())
+def test_certified_atoms_match_reachability_oracle(gen_set):
+    gens = gen_set.generators
+    member = brute_force_membership(gen_set, gens[-1])
+    # g is an atom iff it is no sum of two nonzero members
+    expected = tuple(g for g in gens
+                     if not any(member[s] and member[g - s] for s in range(1, g)))
+    certified = apery_set(gen_set)
+    assert certified.atoms == expected
+    assert atoms(certified, gen_set).atoms == expected
+    inc = IncrementalApery(gens[0])
+    for g in gens[1:]:
+        inc.add(g)
+    unverified = inc.profile()
+    assert unverified.atoms is None
+    assert atoms(unverified, gen_set).atoms == expected
