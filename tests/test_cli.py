@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -397,3 +398,96 @@ def test_output_overwrites_in_place(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text().startswith("p,density\n")
+
+
+# ---------------------------------------------------------------- byte identity
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned_outcome(capsys, monkeypatch, tmp_path, argv):
+    """Exit code and sha256 prefixes of stdout and stderr; an "{out}"
+    argument names a file whose text is digested after stdout."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PRIMEFROB_SIEVE_LIMIT", raising=False)
+    monkeypatch.delenv("PRIMEFROB_THREADS", raising=False)
+    target = tmp_path / "table.out"
+    code, out, err = run(capsys, [a.replace("{out}", str(target)) for a in argv])
+    if target.exists():
+        out += target.read_text()
+    return code, _digest(out), _digest(err)
+
+
+# (argv, exit code, stdout digest, stderr digest); _digest("") is e3b0c44298fc1c14
+PINNED_RUNS = [
+    (("frobenius", "--gens", "19,23,29,31,37"), 0, "87b7a50bc8c0f840", "9f185a562fed946d"),
+    (("frobenius", "--gens", "3,5", "--format", "json"), 0, "71a9c0e550507572", "d2404ec1594c1ea5"),
+    (("frobenius", "--p", "23", "--lambda", "1"), 0, "72545075170f1a7a", "3b81e26e86d0e03a"),
+    (("frobenius", "--p", "23", "--lambda", "1/2", "--format", "json"), 0,
+     "c17c8c2daa6f51d6", "832126e6739c9e7c"),
+    (("lambda-scan", "--p", "19", "--figure-mode"), 0, "d4521bbb5848e832", "71920d832188d53f"),
+    (("lambda-scan", "--p", "23", "--x", "24/23", "--x", "2", "--format", "json"), 0,
+     "0bcd3eeca749b5ef", "04fb987374782208"),
+    (("wilf", "--range", "8:12", "--threads", "1"), 0, "04adc6dc39152d91", "b465ab1468457f66"),
+    (("wilf", "--range", "8:12", "--threads", "1", "--format", "json"), 0,
+     "342c74cd591d4855", "b465ab1468457f66"),
+    (("table3", "--range", "5:9", "--threads", "1"), 0, "427b39e137afc8dc", "20bb8390e1e35fb8"),
+    (("table3", "--range", "5:9", "--threads", "1", "--format", "json"), 0,
+     "f58fce0e3a6d8c58", "20bb8390e1e35fb8"),
+    (("goldbach", "--N", "10001"), 0, "b13ca968bf2206d0", "e3b0c44298fc1c14"),
+    (("goldbach", "--N", "10001", "--format", "csv"), 0, "891aca9e7b7e750f", "e3b0c44298fc1c14"),
+    (("goldbach", "--N", "1001", "--m", "3", "--delta", "1/20"), 0,
+     "1bbef632680cbf05", "e3b0c44298fc1c14"),
+    (("goldbach", "--N", "100000", "--m", "4", "--delta", "1/20", "--format", "csv"), 0,
+     "7b963865502a6062", "e3b0c44298fc1c14"),
+    (("density", "--p", "19"), 0, "0a63643cef2e50be", "c8aa2df141ddab19"),
+    (("density", "--p", "19", "--format", "json"), 0, "21591987e7f95f47", "c8aa2df141ddab19"),
+    (("sn", "--n", "8"), 0, "2a67ba5d7dbb349d", "738acc5d69086ca4"),
+    (("sn", "--n", "8", "--format", "json"), 0, "a3f7398a504113f2", "738acc5d69086ca4"),
+    (("density", "--p", "19", "--output", "{out}"), 0, "ad08c569cf1d7bd9", "e3b0c44298fc1c14"),
+    (("frobenius", "--gens", "4,6"), 2, "e3b0c44298fc1c14", "921b9ab501e56e5f"),
+    (("frobenius", "--gens", "3;5"), 2, "e3b0c44298fc1c14", "452446b0ca5f69c1"),
+    (("frobenius",), 2, "e3b0c44298fc1c14", "5a9c1f44e5ca9ef4"),
+    (("frobenius", "--gens", "1073741827,1073741831"), 2, "e3b0c44298fc1c14", "c42bd8ff6076d35a"),
+    (("lambda-scan", "--p", "19"), 2, "e3b0c44298fc1c14", "05ecfe433102d13f"),
+    (("lambda-scan", "--p", "19", "--figure-mode", "--gnuplot", "plot.gp"), 2,
+     "e3b0c44298fc1c14", "97aba58e4d78e8d1"),
+    (("wilf", "--range", "8"), 2, "e3b0c44298fc1c14", "7d1e1c98461de072"),
+    (("table3", "--range", "3:8"), 2, "e3b0c44298fc1c14", "28ca4e6f76fafe0e"),
+    (("goldbach", "--N", "20", "--m", "4"), 2, "e3b0c44298fc1c14", "2785f635579c2f9c"),
+    (("goldbach", "--N", "10"), 2, "e3b0c44298fc1c14", "120fa826298ee0c4"),
+    (("goldbach", "--N", "11", "--theta", "0.1"), 1, "e3b0c44298fc1c14", "4465335b9f708d2e"),
+    (("goldbach", "--N", "243", "--theta", "3/2"), 2, "e3b0c44298fc1c14", "fc036e260879a521"),
+    (("sn", "--n", "500", "--sieve-limit", "100"), 2, "e3b0c44298fc1c14", "86adab9095bcbee6"),
+]
+
+# argparse's help and usage-error text changes between Python releases;
+# these digests were recorded under Python 3.11, the version CI runs
+PINNED_ARGPARSE_RUNS = [
+    ((), 2, "e3b0c44298fc1c14", "a49907a1020bd364"),
+    (("--help",), 0, "ddd1c5c476923cad", "e3b0c44298fc1c14"),
+    (("frobenius", "--help"), 0, "e25b4596cf477d07", "e3b0c44298fc1c14"),
+    (("lambda-scan", "--help"), 0, "73dfd995fc7c92d9", "e3b0c44298fc1c14"),
+    (("wilf", "--help"), 0, "5125b2589e3d4c88", "e3b0c44298fc1c14"),
+    (("table3", "--help"), 0, "cc6eae8bed5ae81b", "e3b0c44298fc1c14"),
+    (("goldbach", "--help"), 0, "0eb0e2d2bcf82fd4", "e3b0c44298fc1c14"),
+    (("density", "--help"), 0, "8983cc5056cd73c1", "e3b0c44298fc1c14"),
+    (("sn", "--help"), 0, "4e44889c3781d3ad", "e3b0c44298fc1c14"),
+    (("frobenius", "--no-such-flag"), 2, "e3b0c44298fc1c14", "9533181e1bc7934b"),
+    (("no-such-command",), 2, "e3b0c44298fc1c14", "f551ffc3b9b42258"),
+    (("wilf",), 2, "e3b0c44298fc1c14", "600908f179209377"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", PINNED_RUNS)
+def test_pinned_outputs_are_byte_identical(capsys, monkeypatch, tmp_path, argv, code, out, err):
+    assert _pinned_outcome(capsys, monkeypatch, tmp_path, argv) == (code, out, err)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text is pinned for 3.11")
+@pytest.mark.parametrize("argv,code,out,err", PINNED_ARGPARSE_RUNS)
+def test_pinned_help_and_usage_text_is_byte_identical(capsys, monkeypatch, tmp_path,
+                                                      argv, code, out, err):
+    assert _pinned_outcome(capsys, monkeypatch, tmp_path, argv) == (code, out, err)
