@@ -23,6 +23,7 @@ from .goldbach import (
     TailScanRow,
     binary_decomp,
     decompose_m,
+    decomposition_reach,
     exceptional_evens,
     odd_membership_scan,
     sn_scan,

@@ -21,17 +21,17 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Any, Sequence
+from operator import attrgetter
+from typing import Any, Iterable, Sequence
 
 from .errors import DecompositionError, DomainError, InvariantViolationError
-from .goldbach import decompose_m, sn_scan, tail_frobenius, ternary_decomp, ternary_window
+from .goldbach import decompose_m, decomposition_reach, sn_scan, tail_frobenius, ternary_decomp
 from .intervals import (
     build_interval_semigroup,
     figure_grid,
+    interval_upper,
     parse_lambda,
     ratio_scan,
-    scan_rows_csv,
-    staircase,
 )
 from .primes import PrimeTable, fixed_table
 from .semigroup import GeneratorSet, apery_set, atoms, normalize_generators
@@ -52,37 +52,28 @@ def decimal6(value: Fraction | int) -> str:
     return f"{sign}{q // 10**6}.{q % 10**6:06d}"
 
 
-def _cell_csv(v: Any) -> str:
+def _cell_csv(v: Any) -> Any:
+    """A cell for csv.writer, which writes ints itself and None as ""."""
     if type(v) is int:  # most scan cells; bool is not int by this test
-        return str(v)
-    if v is None:
-        return ""
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
         return decimal6(v)
-    return str(v)
-
-
-def _cell_json(v: Any) -> Any:
-    if isinstance(v, Fraction):
-        return decimal6(v)
+    if isinstance(v, tuple):
+        return ";".join(map(str, v))
     return v
 
 
-def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
+def _render(columns: Sequence[str], rows: Iterable[tuple], fmt: str) -> str:
+    """Each row is a tuple in column order."""
     if fmt == "json":
-        out = []
-        for row in rows:
-            out.append(
-                json.dumps({c: _cell_json(row.get(c)) for c in columns})
-            )
-        return "\n".join(out) + ("\n" if out else "")
+        # json writes tuples as lists and hands each Fraction to decimal6
+        return "".join(json.dumps(dict(zip(columns, row)), default=decimal6) + "\n" for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell_csv(row.get(c)) for c in columns])
+    writer.writerows([_cell_csv(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -99,8 +90,8 @@ def _write_atomically(path: str, content: str) -> None:
         raise
 
 
-def _emit(args, rows: list[dict], columns: list[str], summary: str | None = None) -> None:
-    content = _render(rows, columns, args.format)
+def _emit(args, columns: Sequence[str], rows: Iterable[tuple], summary: str | None = None) -> None:
+    content = _render(columns, rows, args.format)
     if args.output:
         _write_atomically(args.output, content)
         if summary:
@@ -111,44 +102,38 @@ def _emit(args, rows: list[dict], columns: list[str], summary: str | None = None
             print(summary, file=sys.stderr)
 
 
-def _resolve_sieve_limit(args) -> int | None:
-    """The configured sieve limit (--sieve-limit, else the environment), or None."""
-    if getattr(args, "sieve_limit", None) is not None:
-        return args.sieve_limit
-    env = os.environ.get(ENV_SIEVE_LIMIT)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"{ENV_SIEVE_LIMIT}={env!r} is not an integer") from None
-    return None
+def _setting(args, name: str, env: str) -> int | None:
+    """The option ``name`` if given, else the integer in ``env``, else None."""
+    value = getattr(args, name, None)
+    if value is not None:
+        return value
+    text = os.environ.get(env)
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{env}={text!r} is not an integer") from None
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        env = os.environ.get(ENV_THREADS)
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise DomainError(f"{ENV_THREADS}={env!r} is not an integer") from None
-        else:
-            # the CPUs in this process's affinity mask, where the platform has one
-            value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
+    value = _setting(args, "threads", ENV_THREADS)
+    if value is None:
+        # the CPUs in this process's affinity mask, where the platform has one
+        value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
     if value < 1:
         raise DomainError(f"thread count must be >= 1, got {value}")
     return value
 
 
 def _table_reaching(args, needed: int) -> PrimeTable:
-    """A sieve reaching ``needed``.  A configured limit is strict: the table
-    is fixed at it, so neither this nor any later growth may pass it, and a
-    need beyond it is refused before the sieve.
-    Without one the sieve fits the request and grows when a scan needs more."""
-    limit = _resolve_sieve_limit(args)
+    """A sieve reaching ``needed``.  A configured limit (--sieve-limit, else
+    the environment) is strict: the table is fixed at it, so neither this nor
+    any later growth may pass it, and a need beyond it is refused before the
+    sieve.  Without one the sieve fits the request and grows when a scan
+    needs more."""
+    limit = _setting(args, "sieve_limit", ENV_SIEVE_LIMIT)
     if limit is None:
         return PrimeTable(max(needed, 2))
     return fixed_table(limit, needed)
@@ -173,35 +158,19 @@ def _cmd_frobenius(args) -> int:
             raise DomainError(f"--gens must be comma-separated integers, got {args.gens!r}") from None
         gens = normalize_generators(raw)
         profile = apery_set(gens)
-        at = atoms(profile, gens)
-        row = {
-            "m": profile.multiplicity,
-            "f": profile.frobenius,
-            "g": profile.genus,
-            "e": at.embedding_dimension,
-            "sporadic": 1 + profile.frobenius - profile.genus,
-        }
-        _emit(args, [row], list(row.keys()),
-              summary=f"f={row['f']} g={row['g']} e={row['e']} sporadic={row['sporadic']}")
-        return 0
-    if args.p is None or args.lam is None:
-        raise DomainError("provide either --gens or both --p and --lambda")
-    lam = parse_lambda(args.lam)
-    needed = ((1 + lam).numerator * args.p) // (1 + lam).denominator + 1
-    table = _table_reaching(args, needed)
-    ls = build_interval_semigroup(table, args.p, lam)
-    at = atoms(ls.profile, GeneratorSet(ls.generators))
-    row = {
-        "p": ls.p,
-        "a": lam.numerator,
-        "b": lam.denominator,
-        "f": ls.frobenius,
-        "g": ls.genus,
-        "e": at.embedding_dimension,
-        "sporadic": 1 + ls.frobenius - ls.genus,
-    }
-    _emit(args, [row], list(row.keys()),
-          summary=f"f={row['f']} g={row['g']} e={row['e']} sporadic={row['sporadic']}")
+        columns, key = ("m",), (profile.multiplicity,)
+    else:
+        if args.p is None or args.lam is None:
+            raise DomainError("provide either --gens or both --p and --lambda")
+        lam = parse_lambda(args.lam)
+        table = _table_reaching(args, interval_upper(args.p, lam))
+        ls = build_interval_semigroup(table, args.p, lam)
+        profile, gens = ls.profile, GeneratorSet(ls.generators)
+        columns, key = ("p", "a", "b"), (ls.p, lam.numerator, lam.denominator)
+    f, g = profile.frobenius, profile.genus
+    e = atoms(profile, gens).embedding_dimension
+    _emit(args, columns + ("f", "g", "e", "sporadic"), [key + (f, g, e, 1 + f - g)],
+          summary=f"f={f} g={g} e={e} sporadic={1 + f - g}")
     return 0
 
 
@@ -213,22 +182,21 @@ def _cmd_lambda_scan(args) -> int:
         raise DomainError("--gnuplot needs --output so the script has data to plot")
     x_max = parse_lambda(args.x_max)
     if args.figure_mode:
-        needed = (x_max.numerator * args.p) // x_max.denominator + 1
-        table = _table_reaching(args, needed)
+        table = _table_reaching(args, interval_upper(args.p, x_max - 1))
         xs = figure_grid(table, args.p, x_max)
     elif args.x:
         xs = [parse_lambda(x) for x in args.x]
-        needed = max((x.numerator * args.p) // x.denominator for x in xs) + 1
-        table = _table_reaching(args, needed)
+        table = _table_reaching(args, interval_upper(args.p, max(xs) - 1))
     else:
         raise DomainError("provide --figure-mode or at least one --x")
     points = ratio_scan(table, args.p, xs)
-    rows = scan_rows_csv(points)
+    rows = [(pt.p, pt.lam.numerator, pt.lam.denominator, pt.x, pt.f, pt.ratio,
+             pt.staircase, pt.two_primes) for pt in points]
     skipped = sum(1 for pt in points if pt.skipped)
     summary = f"{len(points)} grid points at p={args.p}" + (
         f" ({skipped} below two primes, kept with empty f)" if skipped else ""
     )
-    _emit(args, rows, SCAN_COLUMNS, summary=summary)
+    _emit(args, SCAN_COLUMNS, rows, summary=summary)
     if args.gnuplot:
         _write_atomically(args.gnuplot, _gnuplot_script(args.output, args.p))
     return 0
@@ -249,6 +217,7 @@ def _gnuplot_script(csv_path: str, p: int) -> str:
     )
 
 
+# the SpRangeRow fields of the same names
 WILF_COLUMNS = [
     "n", "p", "e", "f", "g", "sporadic", "lhs", "rhs", "holds",
     "improved_rhs", "f_lt_improved_rhs",
@@ -259,18 +228,11 @@ def _cmd_wilf(args) -> int:
     n_lo, n_hi = _parse_range(args.range)
     threads = _resolve_threads(args)
     # the scan grows the table to 2*p_{n_hi} itself
-    rows_data = verify_sp_range(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
-    rows = [
-        {
-            "n": r.n, "p": r.p, "e": r.e, "f": r.f, "g": r.g,
-            "sporadic": r.sporadic, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds,
-            "improved_rhs": r.improved_rhs, "f_lt_improved_rhs": r.f_lt_improved_rhs,
-        }
-        for r in rows_data
-    ]
-    holding = sum(1 for r in rows_data if r.holds)
+    rows = verify_sp_range(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
+    holding = sum(1 for r in rows if r.holds)
     verdict = "all hold" if holding == len(rows) else f"only {holding} hold"
-    _emit(args, rows, WILF_COLUMNS, summary=f"{len(rows)} semigroups, {verdict}")
+    _emit(args, WILF_COLUMNS, map(attrgetter(*WILF_COLUMNS), rows),
+          summary=f"{len(rows)} semigroups, {verdict}")
     return 0 if holding == len(rows) else 1
 
 
@@ -283,17 +245,12 @@ def _cmd_table3(args) -> int:
         raise DomainError(f"scan starts at n = 5, got {n_lo}")
     threads = _resolve_threads(args)
     # the scan grows the table to its largest first-round truncation itself
-    rows_data = sn_scan(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
-    rows = [
-        {
-            "n": r.n, "p": r.p_n, "f": r.f_n, "f_odd": r.f_odd,
-            "delta_next": r.delta_next, "pass": r.passes,
-        }
-        for r in rows_data
-    ]
-    passing = sum(1 for r in rows_data if r.passes)
+    rows = sn_scan(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
+    passing = sum(1 for r in rows if r.passes)
     verdict = "all rows pass" if passing == len(rows) else f"only {passing} pass"
-    _emit(args, rows, TABLE3_COLUMNS, summary=f"{len(rows)} rows, {verdict}")
+    _emit(args, TABLE3_COLUMNS,
+          [(r.n, r.p_n, r.f_n, r.f_odd, r.delta_next, r.passes) for r in rows],
+          summary=f"{len(rows)} rows, {verdict}")
     return 0 if passing == len(rows) else 1
 
 
@@ -301,37 +258,25 @@ GOLDBACH_COLUMNS = ["N", "m", "parts", "max_deviation", "bound_type", "bound_lim
 
 
 def _cmd_goldbach(args) -> int:
-    n = args.N
+    n, m = args.N, args.m
     theta = parse_lambda(args.theta)
-    # for theta near 1 the ternary window passes N + 16
-    needed = n + 16 if n < 0 else max(n + 16, ternary_window(n, theta)[2])
-    table = _table_reaching(args, needed)
-    if args.delta is not None:
-        delta = Fraction(parse_lambda(args.delta))
-        cert = decompose_m(table, n, args.m, delta, theta=theta)
-    else:
-        if args.m != 3:
-            raise DomainError("an m != 3 decomposition needs --delta")
-        cert = ternary_decomp(table, n, theta=theta)
-    row = {
-        "N": cert.N,
-        "m": cert.m,
-        "parts": list(cert.parts) if args.format == "json" else ";".join(map(str, cert.parts)),
-        "max_deviation": cert.max_deviation,
-        "bound_type": cert.bound_type,
-        "bound_limit": str(cert.bound_limit),
-        "strict": cert.strict,
-        "valid": cert.validate(table),
-    }
-    _emit(args, [row], GOLDBACH_COLUMNS)
-    return 0 if row["valid"] else 1
+    delta = None if args.delta is None else parse_lambda(args.delta)
+    if delta is None and m != 3:
+        raise DomainError("an m != 3 decomposition needs --delta")
+    table = _table_reaching(args, decomposition_reach(n, m, delta, theta))
+    cert = (ternary_decomp(table, n, theta=theta) if delta is None
+            else decompose_m(table, n, m, delta, theta=theta))
+    valid = cert.validate(table)
+    row = (cert.N, cert.m, cert.parts, cert.max_deviation, cert.bound_type,
+           str(cert.bound_limit), cert.strict, valid)
+    _emit(args, GOLDBACH_COLUMNS, [row])
+    return 0 if valid else 1
 
 
 def _cmd_density(args) -> int:
-    table = _table_reaching(args, 2 * args.p + 1)
+    table = _table_reaching(args, interval_upper(args.p, Fraction(1)))
     d = density(table, args.p)
-    row = {"p": args.p, "density": d}
-    _emit(args, [row], ["p", "density"], summary=f"density({args.p}) = {decimal6(d)}")
+    _emit(args, ("p", "density"), [(args.p, d)], summary=f"density({args.p}) = {decimal6(d)}")
     return 0
 
 
@@ -340,11 +285,8 @@ SN_COLUMNS = ["n", "p", "truncation", "f", "certificate_ok"]
 
 def _cmd_sn(args) -> int:
     tp = tail_frobenius(_table_reaching(args, 2), args.n)
-    row = {
-        "n": tp.n, "p": tp.p_n, "truncation": tp.truncation,
-        "f": tp.f, "certificate_ok": tp.certificate_ok,
-    }
-    _emit(args, [row], SN_COLUMNS, summary=f"f_{tp.n} = {tp.f} (truncation {tp.truncation})")
+    _emit(args, SN_COLUMNS, [(tp.n, tp.p_n, tp.truncation, tp.f, tp.certificate_ok)],
+          summary=f"f_{tp.n} = {tp.f} (truncation {tp.truncation})")
     return 0
 
 

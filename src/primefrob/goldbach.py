@@ -78,13 +78,10 @@ def binary_decomp(table: PrimeTable, n: int, window: int) -> tuple[int, int] | N
     """
     if n % 2 != 0 or n < 4:
         raise DomainError(f"need an even n >= 4, got {n}")
-    if n > 2 * table.limit:
-        raise DomainError(f"n={n} exceeds twice the sieve limit {table.limit}")
     half = n // 2
-    for d in range(0, min(window, half - 2) + 1):
-        if table.is_prime(half - d) and table.is_prime(half + d):
-            return (half - d, half + d)
-    return None
+    w = min(window, half - 2)  # the search ends at q1 = 2
+    table._check_range(half + w, "window end")
+    return _balanced_pair(table, n, half - w, half + w)
 
 
 def _balanced_pair(table: PrimeTable, r: int, lo: int, hi: int) -> tuple[int, int] | None:
@@ -104,10 +101,7 @@ def _three_primes(
     table: PrimeTable, n: int, lo: int, hi: int
 ) -> tuple[int, int, int] | None:
     """n as q1+q2+q3, all prime, all in [lo, hi]; q1 nearest n/3 first."""
-    lo = max(lo, 2)
-    if lo > hi:
-        return None
-    candidates = table.primes_in(lo, hi)
+    candidates = table.primes_in(max(lo, 2), hi)
     if len(candidates) == 0:
         return None
     order = np.lexsort((candidates, np.abs(3 * candidates - n)))
@@ -139,14 +133,66 @@ def ternary_window(n: int, theta: Fraction | float) -> tuple[int, int, int]:
     return w, -((-(n - 3 * w)) // 3), (n + 3 * w) // 3
 
 
+def _check_ternary(n: int) -> None:
+    if n % 2 == 0 or n < 9:
+        raise DomainError(f"need an odd n >= 9, got {n}")
+
+
+def _check_split(n: int, m: int, delta: Fraction) -> Fraction:
+    """delta as a Fraction, once n, m and delta suit decompose_m."""
+    delta = Fraction(delta)
+    if m < 3:
+        raise DomainError(f"need m >= 3, got {m}")
+    if delta <= 0:
+        raise DomainError(f"need delta > 0, got {delta}")
+    if n % 2 != m % 2:
+        raise DomainError(f"n={n} and m={m} must have equal parity")
+    return delta
+
+
+def _delta_window(n: int, delta: Fraction) -> tuple[int, int]:
+    """The strict window (n/3 - delta*n, n/3 + delta*n) in integers."""
+    lo = (Fraction(n, 3) - delta * n).__floor__() + 1
+    hi = (Fraction(n, 3) + delta * n).__ceil__() - 1
+    return lo, hi
+
+
+def _anchor_window(n: int, m: int) -> tuple[int, int]:
+    """(c - floor(c^(21/40)), c) for c = floor(n/m): the window, cut below
+    at 2, that an m > 3 split takes its anchor from."""
+    center = n // m
+    return center - floor_power(center, BAKER_EXPONENT), center
+
+
+def decomposition_reach(
+    n: int, m: int, delta: Fraction | None, theta: Fraction | float = Fraction(3, 5)
+) -> int:
+    """The far end of the window that the search for n as m primes reads:
+    ternary_decomp's when delta is None (so m = 3), else decompose_m's.  The
+    search's domain checks run first, so no table is sized for a request
+    that the search would refuse.
+    """
+    theta = _window_exponent(theta)
+    if delta is None:
+        _check_ternary(n)
+        return ternary_window(n, theta)[2]
+    delta = _check_split(n, m, delta)
+    if m == 3:
+        return _delta_window(n, delta)[1]
+    lo, center = _anchor_window(n, m)
+    lo = max(2, lo)
+    if lo > center:
+        return center  # no anchor, so no inner search
+    # the inner ternary window grows with the rest, which is largest for the
+    # smallest anchor
+    return max(center, ternary_window(n - (m - 3) * lo, theta)[2])
+
+
 def ternary_decomp(
     table: PrimeTable, n: int, theta: Fraction | float = Fraction(3, 5)
 ) -> DecompCertificate:
     """n (odd, >= 9) as three primes, each within floor(n^theta) of n/3."""
-    if n % 2 == 0 or n < 9:
-        raise DomainError(f"need an odd n >= 9, got {n}")
-    if n > table.limit:
-        raise DomainError(f"n={n} exceeds the sieve limit {table.limit}")
+    _check_ternary(n)
     theta = _window_exponent(theta)
     w, lo, hi = ternary_window(n, theta)
     parts = _three_primes(table, n, lo, hi)
@@ -182,32 +228,20 @@ def decompose_m(
     remainder n - (m-3)P into three primes; the delta claim is re-checked
     over all m parts at the end.
     """
-    delta = Fraction(delta)
-    if m < 3:
-        raise DomainError(f"need m >= 3, got {m}")
-    if delta <= 0:
-        raise DomainError(f"need delta > 0, got {delta}")
-    if n % 2 != m % 2:
-        raise DomainError(f"n={n} and m={m} must have equal parity")
-    if n > table.limit:
-        raise DomainError(f"n={n} exceeds the sieve limit {table.limit}")
+    delta = _check_split(n, m, delta)
     limit = Fraction(m) * delta * n  # claim: |m*q - n| < limit for every part
     if m == 3:
-        # strict window (n/3 - delta*n, n/3 + delta*n) in integers
-        lo = (Fraction(n, 3) - delta * n).__floor__() + 1
-        hi = (Fraction(n, 3) + delta * n).__ceil__() - 1
-        parts = _three_primes(table, n, lo, hi)
+        parts = _three_primes(table, n, *_delta_window(n, delta))
         if parts is None:
             raise DecompositionError(
                 f"no three-prime split of {n} within delta={delta} of n/3"
             )
     else:
-        center = n // m
-        reach = floor_power(center, BAKER_EXPONENT)
-        window = table.primes_in(max(2, center - reach), center)
+        lo, center = _anchor_window(n, m)
+        window = table.primes_in(max(2, lo), center)
         if len(window) == 0:
             raise DecompositionError(
-                f"no prime in [{center - reach}, {center}] to anchor m={m}"
+                f"no prime in [{lo}, {center}] to anchor m={m}"
             )
         anchor = int(window[-1])
         rest = n - (m - 3) * anchor

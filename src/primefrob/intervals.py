@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -306,21 +306,3 @@ def upper_window_check(ls: LambdaSemigroup, m: int, eps: Fraction) -> bool:
     window = np.arange(lo, hi + 1, dtype=np.int64)
     return bool(ls.profile.contains_many(window).all())
 
-
-def scan_rows_csv(points: Sequence[StaircasePoint]) -> list[dict]:
-    """Flatten scan points to CSV-ready dicts (exact values kept rational)."""
-    rows = []
-    for pt in points:
-        rows.append(
-            {
-                "p": pt.p,
-                "a": pt.lam.numerator,
-                "b": pt.lam.denominator,
-                "x": pt.x,
-                "f": pt.f,
-                "ratio": pt.ratio,
-                "staircase": pt.staircase,
-                "two_primes": pt.two_primes,
-            }
-        )
-    return rows

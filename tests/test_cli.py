@@ -362,6 +362,27 @@ def test_sieve_limit_is_checked_before_sieving(capsys, monkeypatch):
     assert "beyond the configured sieve limit 20000000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["frobenius", "--p", "23", "--lambda", "1"],
+    ["density", "--p", "23"],
+    ["lambda-scan", "--p", "23", "--x", "2"],
+    ["lambda-scan", "--p", "23", "--figure-mode", "--x-max", "2"],
+])
+def test_a_sieve_limit_at_the_interval_end_suffices(capsys, argv):
+    # [23, 46] needs primes up to 46 and no further
+    code, out, _ = run(capsys, argv + ["--sieve-limit", "46"])
+    assert code == 0 and out
+    code, out, err = run(capsys, argv + ["--sieve-limit", "45"])
+    assert code == 2 and out == ""
+    assert "needs primes up to 46, beyond the configured sieve limit 45" in err
+
+
+def test_goldbach_sieve_fits_the_delta_window(capsys):
+    # the strict window at delta = 1 reaches 1331, past N + 16
+    code, out, _ = run(capsys, ["goldbach", "--N", "999", "--delta", "1"])
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
 def test_sieve_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("PRIMEFROB_SIEVE_LIMIT", "30")
     assert run(capsys, ["frobenius", "--p", "23", "--lambda", "1"])[0] == 2

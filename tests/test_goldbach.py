@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primefrob.errors import DecompositionError, DomainError
+from primefrob.errors import DecompositionError, DomainError, OutOfRangeError
 from primefrob.goldbach import (
     binary_decomp,
     decompose_m,
+    decomposition_reach,
     exceptional_evens,
     odd_membership_scan,
     sn_scan,
@@ -16,6 +17,7 @@ from primefrob.goldbach import (
     ternary_decomp,
 )
 from primefrob.intervals import build_interval_semigroup
+from primefrob.primes import PrimeTable
 from primefrob.semigroup import brute_force_membership, normalize_generators
 
 
@@ -30,6 +32,55 @@ def test_binary_examples(table_small):
 def test_binary_picks_most_balanced(table_small):
     # 36 = 17+19 with deviation 1; 13+23 and 7+29 are further out
     assert binary_decomp(table_small, 36, 12) == (17, 19)
+
+
+def test_binary_window_must_fit_the_table():
+    # 200 = 2 * 100 fits a table of 100, but the window [90, 110] does not
+    with pytest.raises(OutOfRangeError, match="window end 110 exceeds table limit 100"):
+        binary_decomp(PrimeTable(100), 200, 10)
+    assert binary_decomp(PrimeTable(110), 200, 10) == (97, 103)
+
+
+def test_ternary_needs_only_its_window_in_the_table():
+    # 10001 lies past the table; its window [3250, 3584] does not
+    assert ternary_decomp(PrimeTable(5000), 10001).parts == (3323, 3331, 3347)
+    assert decomposition_reach(10001, 3, None) == 3584
+    with pytest.raises(OutOfRangeError, match="interval end 3584"):
+        ternary_decomp(PrimeTable(3583), 10001)
+
+
+def _search(table, n, m, delta, theta):
+    if delta is None:
+        return ternary_decomp(table, n, theta)
+    return decompose_m(table, n, m, delta, theta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30_000),
+    st.sampled_from([3, 3, 4, 5, 7]),
+    st.sampled_from([None, Fraction(1, 100), Fraction(1, 20), Fraction(1, 3), Fraction(1)]),
+    st.sampled_from([Fraction(1, 5), Fraction(3, 5), Fraction(1)]),
+)
+def test_a_table_to_the_decomposition_reach_serves_the_search(n, m, delta, theta):
+    if delta is None:
+        n, m = n | 1, 3
+    else:
+        n += (n - m) % 2
+    try:
+        reach = decomposition_reach(n, m, delta, theta)
+    except DomainError:
+        with pytest.raises(DomainError):
+            _search(PrimeTable(100), n, m, delta, theta)
+        return
+    try:
+        _search(PrimeTable(max(reach, 2)), n, m, delta, theta)
+    except DecompositionError:
+        return
+    if m == 3 and reach > 2:
+        # a three-prime search that succeeds has read its window to the end
+        with pytest.raises(OutOfRangeError):
+            _search(PrimeTable(reach - 1), n, m, delta, theta)
 
 
 def test_ternary_examples(table_100k):
