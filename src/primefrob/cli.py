@@ -33,7 +33,7 @@ from .intervals import (
     parse_lambda,
     ratio_scan,
 )
-from .primes import PrimeTable, fixed_table
+from .primes import PrimeTable
 from .semigroup import GeneratorSet, apery_set, atoms, normalize_generators
 from .wilf import density, verify_sp_range
 
@@ -129,14 +129,9 @@ def _resolve_threads(args) -> int:
 
 def _table_reaching(args, needed: int) -> PrimeTable:
     """A sieve reaching ``needed``.  A configured limit (--sieve-limit, else
-    the environment) is strict: the table is fixed at it, so neither this nor
-    any later growth may pass it, and a need beyond it is refused before the
-    sieve.  Without one the sieve fits the request and grows when a scan
-    needs more."""
-    limit = _setting(args, "sieve_limit", ENV_SIEVE_LIMIT)
-    if limit is None:
-        return PrimeTable(max(needed, 2))
-    return fixed_table(limit, needed)
+    the environment) is its ceiling, which neither it nor any table grown
+    from it may pass; a need beyond it is refused before the sieve."""
+    return PrimeTable(max(needed, 2), _setting(args, "sieve_limit", ENV_SIEVE_LIMIT))
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -140,6 +140,8 @@ def _check_ternary(n: int) -> None:
 
 def _check_split(n: int, m: int, delta: Fraction) -> Fraction:
     """delta as a Fraction, once n, m and delta suit decompose_m."""
+    if n < 0:
+        raise DomainError(f"need n >= 0, got {n}")
     delta = Fraction(delta)
     if m < 3:
         raise DomainError(f"need m >= 3, got {m}")

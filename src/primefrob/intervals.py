@@ -58,10 +58,6 @@ def interval_primes(table: PrimeTable, p: int, lam: Fraction) -> np.ndarray:
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
     hi = interval_upper(p, lam)
-    if hi > table.limit:
-        raise OutOfRangeError(
-            f"interval reaches {hi}, beyond the sieve limit {table.limit}"
-        )
     return table.primes_in(p, hi)
 
 
@@ -140,8 +136,6 @@ def figure_grid(table: PrimeTable, p: int, x_max: Fraction = Fraction(3)) -> lis
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
     hi = _floor_mul(x_max, p)
-    if hi > table.limit:
-        raise OutOfRangeError(f"grid reaches {hi}, beyond the sieve limit {table.limit}")
     return [Fraction(int(q), p) for q in table.primes_in(p + 1, hi)]
 
 
@@ -169,10 +163,6 @@ def ratio_scan(
     if grid[0] <= 1:
         raise DomainError(f"grid values must exceed 1, got {grid[0]}")
     hi_last = _floor_mul(grid[-1], p)
-    if hi_last > table.limit:
-        raise OutOfRangeError(
-            f"scan reaches {hi_last}, beyond the sieve limit {table.limit}"
-        )
     qs = table.primes_in(p, hi_last).tolist()
     inc = IncrementalApery(p)
     points: list[StaircasePoint] = []

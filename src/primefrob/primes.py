@@ -43,12 +43,6 @@ def _checked_limit(limit: int) -> int:
     return int(limit)
 
 
-def _beyond_limit(needed: int, limit: int) -> OutOfRangeError:
-    return OutOfRangeError(
-        f"computation needs primes up to {needed}, beyond the configured sieve limit {limit}"
-    )
-
-
 class PrimeTable:
     """Primality oracle for [0, limit], immutable after construction.
 
@@ -56,15 +50,20 @@ class PrimeTable:
         limit: largest integer covered.
         primality: bool array, primality[n] iff n is prime.
         prime_list: ascending int64 array of all primes <= limit.
-        fixed: the limit is a configured ceiling that ``extend_table`` keeps.
+        ceiling: a configured sieve limit that no table grown from this one
+            may pass, or None.  A limit beyond it is refused before the sieve.
 
     pi and nth-prime indexing is 1-based: pi(2) = 1 and nth_prime(1) = 2.
     All queries are read-only, so one table may be shared freely.
     """
 
-    def __init__(self, limit: int, fixed: bool = False):
+    def __init__(self, limit: int, ceiling: int | None = None):
+        if ceiling is not None and limit > _checked_limit(ceiling):
+            raise OutOfRangeError(
+                f"computation needs primes up to {limit}, beyond the configured sieve limit {ceiling}"
+            )
         self.limit = _checked_limit(limit)
-        self.fixed = fixed
+        self.ceiling = ceiling
         self.primality = _sieve(self.limit)
         self.prime_list = np.flatnonzero(self.primality).astype(np.int64)
 
@@ -76,9 +75,9 @@ class PrimeTable:
             raise OutOfRangeError(f"{what} {x} exceeds table limit {self.limit}")
 
     def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
+        if n > self.limit:
             self._check_range(n)
-        return bool(self.primality[n])
+        return n >= 0 and bool(self.primality[n])
 
     def prime_pi(self, x: int) -> int:
         """Number of primes <= x."""
@@ -121,33 +120,25 @@ def build_table(limit: int) -> PrimeTable:
 
 def extend_table(table: PrimeTable, needed: int) -> PrimeTable:
     """Return ``table`` itself if it already covers ``needed``, else a fresh
-    larger one.  Growth doubles so repeated extension stays cheap.  This is
-    the only place a table grows, and a fixed table raises instead."""
+    larger one with the same ceiling.  Growth doubles, up to the ceiling, so
+    repeated extension stays cheap.  This is the only place a table grows."""
     if needed <= table.limit:
         return table
-    if table.fixed:
-        raise _beyond_limit(needed, table.limit)
-    return PrimeTable(max(needed, 2 * table.limit))
-
-
-def fixed_table(limit: int, needed: int) -> PrimeTable:
-    """A table fixed at the configured ``limit``.  A ``needed`` beyond it is
-    refused before anything is sieved."""
-    if needed > _checked_limit(limit):
-        raise _beyond_limit(needed, limit)
-    return PrimeTable(limit, fixed=True)
+    ceiling = table.ceiling
+    return PrimeTable(max(needed, min(2 * table.limit, ceiling or MAX_SIEVE_LIMIT)), ceiling)
 
 
 def table_for_nth_prime(table: PrimeTable, n: int) -> PrimeTable:
     """Extend ``table`` until it contains the n-th prime."""
     while n > len(table.prime_list):
-        if table.fixed:
+        if table.limit == table.ceiling:
             raise OutOfRangeError(
                 f"computation needs p_{n}, beyond the configured sieve limit {table.limit}"
             )
         # p_n < n(log n + log log n) for n > 5; small n are far below 16.
         guess = int(n * (math.log(n) + math.log(math.log(n)))) + 1 if n > 5 else 16
-        table = extend_table(table, max(guess, 2 * table.limit))
+        # only a ceiling clamps: a budget clamp would stop growth and loop here
+        table = extend_table(table, min(max(guess, 2 * table.limit), table.ceiling or math.inf))
     return table
 
 
@@ -168,7 +159,8 @@ def parallel_map(fn: Callable, table: PrimeTable, items: Iterable, workers: int 
                  chunksize: int = 1) -> list:
     """``[fn(table, x) for x in items]``, in order.  With workers > 1 the items
     fan out in chunks over a process pool; each worker receives ``table`` once
-    when it starts, so it never sieves again and a fixed table stays fixed.
+    when it starts, so it need not sieve again, and what it grows keeps the
+    ceiling.
     ``fn`` must be a module-level function so it can be sent to the workers."""
     if workers <= 1:
         return [fn(table, x) for x in items]
@@ -216,7 +208,6 @@ def baker_window(table: PrimeTable, p: int) -> PrimeWindow:
     if p < 2:
         raise DomainError(f"window base must be >= 2, got {p}")
     hi = p + floor_power(p, BAKER_EXPONENT)
-    table._check_range(hi, "window end")
     est = 0.09 * p ** 0.525 / math.log(p)
     return PrimeWindow(lo=p, hi=hi, primes=table.primes_in(p, hi), lower_estimate=est)
 

@@ -1,10 +1,11 @@
 """Wilf quotient checks for prime-interval semigroups, plus the analytic
 bounds that close the argument for large multiplicities.
 
-Every verdict that matters is an exact integer or rational comparison:
+The Wilf verdicts are exact integer or rational comparisons:
 g/(1+f) <= (e-1)/e is decided by cross-multiplication, never by floats.
-Floats only appear in the two analytic comparison functions l and l2, whose
-acceptance margins are far wider than double rounding error.
+Floats remain in analytic_l, analytic_l2, l_strictly_increasing,
+l2_strictly_decreasing and cube_gap_holds, and in pi_growth_chain's
+comparison of pi(2p) with l(p)*n; none of these is certified yet.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primefrob import primes
 from primefrob.cli import _resolve_threads, decimal6, main
 
 
@@ -99,6 +100,8 @@ def test_frobenius_error_paths(capsys):
     assert run(
         capsys, ["frobenius", "--p", "23", "--lambda", "1", "--sieve-limit", "30"]
     )[0] == 2
+    code, out, err = run(capsys, ["frobenius", "--p", "-5", "--lambda", "1"])
+    assert (code, out) == (2, "") and "-5 is not prime" in err
 
 
 def test_frobenius_with_a_far_generator_needs_no_value_range(capsys):
@@ -290,6 +293,9 @@ def test_goldbach_errors(capsys):
                         "--sieve-limit", "1000"])[0] == 2
     # even N cannot be three primes of this shape
     assert run(capsys, ["goldbach", "--N", "10", "--sieve-limit", "1000"])[0] == 2
+    # a negative N is refused before any window is formed
+    code, out, err = run(capsys, ["goldbach", "--N", "-8", "--m", "4", "--delta", "1/20"])
+    assert (code, out) == (2, "") and "need n >= 0, got -8" in err
     # tiny window: search fails, which is an internal failure, not misuse
     assert run(capsys, ["goldbach", "--N", "11", "--theta", "0.1",
                         "--sieve-limit", "1000"])[0] == 1
@@ -353,8 +359,7 @@ def test_sieve_limit_is_checked_before_sieving(capsys, monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("sieved past a limit the request cannot fit")
 
-    monkeypatch.setattr("primefrob.cli.PrimeTable", no_sieve)
-    monkeypatch.setattr("primefrob.primes.PrimeTable", no_sieve)
+    monkeypatch.setattr("primefrob.primes._sieve", no_sieve)
     code, out, err = run(
         capsys, ["frobenius", "--p", "10000019", "--lambda", "1", "--sieve-limit", "20000000"]
     )
@@ -381,6 +386,22 @@ def test_goldbach_sieve_fits_the_delta_window(capsys):
     # the strict window at delta = 1 reaches 1331, past N + 16
     code, out, _ = run(capsys, ["goldbach", "--N", "999", "--delta", "1"])
     assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_a_sieve_limit_is_a_ceiling_not_a_size(capsys, monkeypatch):
+    sieve, sizes = primes._sieve, []
+    monkeypatch.setattr("primefrob.primes._sieve", lambda n: sizes.append(n) or sieve(n))
+    code, out, _ = run(capsys, ["frobenius", "--p", "23", "--lambda", "1",
+                                "--sieve-limit", "50000000"])
+    assert code == 0 and out == "p,a,b,f,g,e,sporadic\n23,1,1,102,62,6,41\n"
+    assert sizes == [46]
+
+
+def test_a_pooled_scan_under_a_sieve_limit_prints_the_same_bytes(capsys):
+    argv = ["table3", "--range", "5:9", "--threads", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out
+    assert run(capsys, argv + ["--sieve-limit", "2000"]) == (code, out, err)
 
 
 def test_sieve_limit_env(capsys, monkeypatch):

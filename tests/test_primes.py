@@ -12,7 +12,6 @@ from primefrob.primes import (
     baker_window,
     build_table,
     extend_table,
-    fixed_table,
     floor_power,
     table_for_nth_prime,
     verify_literature_bounds,
@@ -104,30 +103,47 @@ def test_table_for_nth_prime():
 
 
 def test_fixed_table_never_grows():
-    t = PrimeTable(100, fixed=True)
+    t = PrimeTable(100, ceiling=100)
     assert extend_table(t, 100) is t
     with pytest.raises(OutOfRangeError, match="configured sieve limit 100"):
         extend_table(t, 101)
     assert table_for_nth_prime(t, 25) is t  # p_25 = 97
     with pytest.raises(OutOfRangeError, match="p_26, beyond the configured sieve limit 100"):
         table_for_nth_prime(t, 26)
-    assert not extend_table(PrimeTable(100), 101).fixed
+    assert extend_table(PrimeTable(100), 101).ceiling is None
 
 
 def test_fixed_table_checks_the_limit_then_the_need():
-    assert fixed_table(100, 100).fixed
+    assert PrimeTable(100, ceiling=100).ceiling == 100
     with pytest.raises(OutOfRangeError, match="primes up to 101, beyond the configured sieve limit 100"):
-        fixed_table(100, 101)
+        PrimeTable(101, ceiling=100)
     with pytest.raises(ConfigurationError, match="must be >= 2"):  # the limit is checked first
-        fixed_table(1, 101)
+        PrimeTable(101, ceiling=1)
 
 
 def test_fixed_table_survives_pickling():
     # pool workers under a spawn start method receive the table this way
-    t = pickle.loads(pickle.dumps(PrimeTable(100, fixed=True)))
-    assert t.fixed and t.limit == 100 and t.prime_pi(100) == 25
+    t = pickle.loads(pickle.dumps(PrimeTable(100, ceiling=100)))
+    assert t.ceiling == 100 and t.limit == 100 and t.prime_pi(100) == 25
     with pytest.raises(OutOfRangeError):
         extend_table(t, 200)
+
+
+def test_a_ceiling_bounds_growth_but_not_the_first_sieve():
+    assert extend_table(PrimeTable(10, ceiling=100), 50).limit == 50
+    grown = extend_table(PrimeTable(60, ceiling=100), 70)
+    assert grown.limit == 100 and grown.ceiling == 100
+    # the p_n guess is clamped to the ceiling before the refusal
+    t = table_for_nth_prime(PrimeTable(10, ceiling=100), 25)
+    assert (t.limit, t.nth_prime(25)) == (100, 97)
+    with pytest.raises(ConfigurationError, match="memory budget"):
+        PrimeTable(10, ceiling=1 << 40)
+
+
+def test_negative_numbers_are_not_prime():
+    t = PrimeTable(100)
+    assert not t.is_prime(-4)
+    assert not any(t.is_prime(n) for n in range(-100, 0))
 
 
 def test_baker_window_examples(table_100k):
