@@ -520,6 +520,11 @@ PINNED_ARGPARSE_RUNS = [
     (("frobenius", "--no-such-flag"), 2, "e3b0c44298fc1c14", "9533181e1bc7934b"),
     (("no-such-command",), 2, "e3b0c44298fc1c14", "f551ffc3b9b42258"),
     (("wilf",), 2, "e3b0c44298fc1c14", "600908f179209377"),
+    (("frobenius", "--gens", "3,5", "extra"), 2, "e3b0c44298fc1c14", "1d8f5817016abcfb"),
+    (("goldbach", "--N"), 2, "e3b0c44298fc1c14", "4fa2608f56c699be"),
+    (("density", "--p", "19", "--format", "xml"), 2, "e3b0c44298fc1c14", "44c7bd76cf88ace5"),
+    (("sn", "--n", "8", "-h"), 0, "4e44889c3781d3ad", "e3b0c44298fc1c14"),
+    (("-h", "frobenius"), 0, "ddd1c5c476923cad", "e3b0c44298fc1c14"),
 ]
 
 
