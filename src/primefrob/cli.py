@@ -294,67 +294,62 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str = "csv") -> No
                      help=f"worker processes for scans (or ${ENV_THREADS})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, default --format, own options as (flag, settings) pairs)
+COMMANDS = {
+    "frobenius": ("f, genus, atoms of one semigroup", _cmd_frobenius, "csv", (
+        ("--gens", dict(help="comma-separated generators, e.g. 3,5")),
+        ("--p", dict(type=int, help="prime start of the interval")),
+        ("--lambda", dict(dest="lam", help="interval ratio, e.g. 1 or 1/2")))),
+    "lambda-scan": ("f/p across a grid of interval ratios", _cmd_lambda_scan, "csv", (
+        ("--p", dict(type=int, required=True)),
+        ("--figure-mode", dict(action="store_true", help="grid of all x with x*p prime")),
+        ("--x", dict(action="append", help="explicit grid point x = 1 + lambda (repeatable)")),
+        ("--x-max", dict(default="3", help="grid ceiling in figure mode")),
+        ("--gnuplot", dict(help="also write a gnuplot script here")))),
+    "wilf": ("Wilf quotient across S(p_n) for a range of n", _cmd_wilf, "csv", (
+        ("--range", dict(required=True, help="n range as LO:HI, e.g. 8:675")),)),
+    "table3": ("tail semigroup scan: parity of f_n and candidate jumps", _cmd_table3, "csv", (
+        ("--range", dict(required=True, help="n range as LO:HI, e.g. 5:1000")),)),
+    "goldbach": ("almost-equal prime decomposition certificate", _cmd_goldbach, "json", (
+        ("--N", dict(type=int, required=True)),
+        ("--m", dict(type=int, default=3, help="number of parts (default 3)")),
+        ("--delta", dict(help="relative deviation bound as a fraction, e.g. 1/20")),
+        ("--theta", dict(default="3/5", help="window exponent for three-part splits")))),
+    "density": ("sporadic density of the primes-in-[p,2p] semigroup", _cmd_density, "csv", (
+        ("--p", dict(type=int, required=True)),)),
+    "sn": ("Frobenius number of the all-primes-from-p_n semigroup", _cmd_sn, "csv", (
+        ("--n", dict(type=int, required=True)),)),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When argv starts with a command, only that
+    command's subparser is built; the metavar keeps the usage line of the
+    full tree, which argparse prints for unrecognized arguments."""
     parser = argparse.ArgumentParser(
         prog="primefrob",
         description="Exact invariants of semigroups generated by primes in intervals",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_frob = subs.add_parser("frobenius", help="f, genus, atoms of one semigroup")
-    p_frob.add_argument("--gens", help="comma-separated generators, e.g. 3,5")
-    p_frob.add_argument("--p", type=int, help="prime start of the interval")
-    p_frob.add_argument("--lambda", dest="lam", help="interval ratio, e.g. 1 or 1/2")
-    _add_common(p_frob)
-    p_frob.set_defaults(handler=_cmd_frobenius)
-
-    p_scan = subs.add_parser("lambda-scan", help="f/p across a grid of interval ratios")
-    p_scan.add_argument("--p", type=int, required=True)
-    p_scan.add_argument("--figure-mode", action="store_true",
-                        help="grid of all x with x*p prime")
-    p_scan.add_argument("--x", action="append",
-                        help="explicit grid point x = 1 + lambda (repeatable)")
-    p_scan.add_argument("--x-max", default="3", help="grid ceiling in figure mode")
-    p_scan.add_argument("--gnuplot", help="also write a gnuplot script here")
-    _add_common(p_scan)
-    p_scan.set_defaults(handler=_cmd_lambda_scan)
-
-    p_wilf = subs.add_parser("wilf", help="Wilf quotient across S(p_n) for a range of n")
-    p_wilf.add_argument("--range", required=True, help="n range as LO:HI, e.g. 8:675")
-    _add_common(p_wilf)
-    p_wilf.set_defaults(handler=_cmd_wilf)
-
-    p_t3 = subs.add_parser("table3", help="tail semigroup scan: parity of f_n and candidate jumps")
-    p_t3.add_argument("--range", required=True, help="n range as LO:HI, e.g. 5:1000")
-    _add_common(p_t3)
-    p_t3.set_defaults(handler=_cmd_table3)
-
-    p_gold = subs.add_parser("goldbach", help="almost-equal prime decomposition certificate")
-    p_gold.add_argument("--N", type=int, required=True)
-    p_gold.add_argument("--m", type=int, default=3, help="number of parts (default 3)")
-    p_gold.add_argument("--delta", help="relative deviation bound as a fraction, e.g. 1/20")
-    p_gold.add_argument("--theta", default="3/5",
-                        help="window exponent for three-part splits")
-    _add_common(p_gold, default_format="json")
-    p_gold.set_defaults(handler=_cmd_goldbach)
-
-    p_dens = subs.add_parser("density", help="sporadic density of the primes-in-[p,2p] semigroup")
-    p_dens.add_argument("--p", type=int, required=True)
-    _add_common(p_dens)
-    p_dens.set_defaults(handler=_cmd_density)
-
-    p_sn = subs.add_parser("sn", help="Frobenius number of the all-primes-from-p_n semigroup")
-    p_sn.add_argument("--n", type=int, required=True)
-    _add_common(p_sn)
-    p_sn.set_defaults(handler=_cmd_sn)
-
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:  # help, or a missing or unknown command: its error names "command", not a metavar
+        names, metavar = list(COMMANDS), None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, default_format, options = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, settings in options:
+            sub.add_argument(flag, **settings)
+        _add_common(sub, default_format)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -413,10 +413,8 @@ def odd_membership_scan(table: PrimeTable, n: int, count: int) -> OddScanResult:
     return OddScanResult(n=n, start=start, count=count, ok=False, first_failure=first)
 
 
-def exceptional_evens(table: PrimeTable, p: int, profile: AperyProfile) -> np.ndarray:
+def exceptional_evens(p: int, profile: AperyProfile) -> np.ndarray:
     """Even numbers in [2p, 4p] missing from the semigroup of primes in [p, 2p]."""
-    if 4 * p > table.limit:
-        raise DomainError(f"4p={4 * p} exceeds the sieve limit {table.limit}")
     evens = np.arange(2 * p, 4 * p + 1, 2, dtype=np.int64)
     member = profile.contains_many(evens)
     return evens[~member]

@@ -122,18 +122,18 @@ def _top(k: np.ndarray) -> int:
     return m * int(k[j]) + m - 1 - j
 
 
-def _fold_generator(k: np.ndarray, buf: np.ndarray, g: int) -> int:
+def _fold_generator(k: np.ndarray, buf: np.ndarray, g: int) -> tuple[int, bool]:
     """Close the Kunz table ``k`` under adding any number of copies of g, in place.
 
     In Apery terms, after the call apery[r] = min over t >= 0 of
     old_apery[(r - t*g) mod m] + t*g.  ``buf`` is scratch space of the same
-    length as ``k``.  Returns the largest Apery value after the first step, an
-    upper bound on every entry after the fold.
+    length as ``k``.  Returns (top, exact): the largest Apery value after the
+    first step, an upper bound after the fold, exact when no doubling step ran.
     """
     m = len(k)
     q, shift = divmod(g, m)
     if shift == 0:
-        return _top(k)  # adding multiples of m never lowers a class minimum
+        return _top(k), True  # adding multiples of m never lowers a class minimum
     np.minimum(k, _shifted(k, buf, shift, q), out=k)
     # t copies of g only help while t*g stays below the largest Apery value;
     # while a class is unreached that value exceeds m times the sentinel and
@@ -146,7 +146,7 @@ def _fold_generator(k: np.ndarray, buf: np.ndarray, g: int) -> int:
         step_q, step_shift = divmod(step_cost, m)
         np.minimum(k, _shifted(k, buf, step_shift, step_q), out=k)
         covered = 2 * covered + 1
-    return top
+    return top, t_bound <= 1
 
 
 def _verify_fixed_point(k: np.ndarray, gens: Sequence[int]) -> tuple[int, ...]:
@@ -266,6 +266,7 @@ class IncrementalApery:
         self._inf = _INF32
         self._widen_at = _WIDEN_BELOW - multiplicity
         self._complete = False
+        self._exact_top: int | None = None  # the largest Apery value, when known
         self.generators: list[int] = [multiplicity]
 
     def _widen(self) -> None:
@@ -284,7 +285,9 @@ class IncrementalApery:
         if g >= self._widen_at:
             self._widen()
         self.generators.append(int(g))
-        return _fold_generator(self.k, self._buf, int(g))
+        top, exact = _fold_generator(self.k, self._buf, int(g))
+        self._exact_top = top if exact else None
+        return top
 
     def contains(self, n: int) -> bool:
         """Membership of n in the semigroup generated so far, in O(1):
@@ -301,23 +304,27 @@ class IncrementalApery:
             self._complete = int(self.k[self.k.argmax()]) < self._inf
         return self._complete
 
-    def profile(self, verify: bool = False) -> AperyProfile:
+    def _largest_apery(self) -> int:
+        """Largest Apery value of a complete table, scanned for once after a doubling fold."""
         if not self.complete:
             raise AperyError("some residue class is still unreachable")
-        m, k = self.multiplicity, self.k
+        if self._exact_top is None:
+            self._exact_top = _top(self.k)
+        return self._exact_top
+
+    def profile(self, verify: bool = False) -> AperyProfile:
+        top, m, k = self._largest_apery(), self.multiplicity, self.k
         found = _verify_fixed_point(k, self.generators) if verify else None
         # astype before scaling: an int32 product would wrap
         ap = k[::-1].astype(np.int64)
         ap *= m
         ap += np.arange(m, dtype=np.int64)
         ap.setflags(write=False)
-        return AperyProfile(multiplicity=m, apery=ap, frobenius=_top(k) - m,
+        return AperyProfile(multiplicity=m, apery=ap, frobenius=top - m,
                             genus=int(k.sum(dtype=np.int64)), atoms=found)
 
     def frobenius(self) -> int:
-        if not self.complete:
-            raise AperyError("some residue class is still unreachable")
-        return _top(self.k) - self.multiplicity
+        return self._largest_apery() - self.multiplicity
 
 
 @dataclass(frozen=True)

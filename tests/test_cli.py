@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primefrob import primes
-from primefrob.cli import _resolve_threads, decimal6, main
+from primefrob.cli import _resolve_threads, build_parser, decimal6, main
 
 
 def run(capsys, argv):
@@ -131,6 +131,26 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["frobenius", "--gens", "3,5"], 1),
+    (["sn", "--help"], 1),
+    (["--help"], 7),
+    ([], 7),
+    (["no-such-command"], 7),
+])
+def test_only_the_named_command_gets_a_parser(monkeypatch, argv, built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(subs, name, **kwargs):
+        calls.append(name)
+        return add_parser(subs, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    build_parser(argv)
+    assert len(calls) == built
 
 
 # ---------------------------------------------------------------- lambda-scan

@@ -207,7 +207,7 @@ def test_odd_membership_scan(table_small):
 
 def test_exceptional_evens_frozen(table_small):
     ls = build_interval_semigroup(table_small, 19, Fraction(1))
-    ev = exceptional_evens(table_small, 19, ls.profile)
+    ev = exceptional_evens(19, ls.profile)
     assert ev.tolist() == [40, 44, 64, 70, 72]
     # below 3p an even member needs exactly two generators, so each
     # exception there must lack a two-prime split inside [p, 2p]
@@ -221,6 +221,6 @@ def test_exceptional_evens_frozen(table_small):
 
 def test_exceptional_evens_sparse(table_100k):
     ls = build_interval_semigroup(table_100k, 541, Fraction(1))
-    ev = exceptional_evens(table_100k, 541, ls.profile)
+    ev = exceptional_evens(541, ls.profile)
     assert len(ev) < 541  # sparse relative to the ~p/2 even candidates
     assert all(int(n) % 2 == 0 and not ls.profile.contains(int(n)) for n in ev)

@@ -199,6 +199,16 @@ def test_incremental_matches_batch():
     assert (prof.apery == batch.apery).all()
 
 
+def test_frobenius_reads_after_folds_with_and_without_doubling():
+    # folding 6 and 7 runs doubling steps; 8 and 9 close after one step, and 9 lowers f
+    inc = IncrementalApery(5)
+    for i, g in enumerate((6, 7, 8, 9), start=2):
+        inc.add(g)
+        assert (inc._exact_top is not None) == (g >= 8)
+        gaps = np.flatnonzero(~brute_force_membership(GeneratorSet((5, 6, 7, 8, 9)[:i]), 5 * g))
+        assert inc.frobenius() == int(gaps.max()) == inc.profile().frobenius
+
+
 def test_incremental_incomplete_guard():
     inc = IncrementalApery(4)
     inc.add(6)  # gcd 2: residues 1, 3 unreachable
