@@ -23,11 +23,11 @@ assert profile.frobenius == sylvester_frobenius(3, 5) == 7
 # a bigger set; atoms() strips the redundant generators back out
 gens = normalize_generators([8, 9, 10, 11, 17, 26])
 profile = apery_set(gens)
-at = atoms(profile, gens)
+at = atoms(profile)
 print()
 print("generators:", tuple(gens))
-print("atoms (the irreducible ones):", at.atoms)
-print("embedding dimension:", at.embedding_dimension)
+print("atoms (the irreducible ones):", at)
+print("embedding dimension:", len(at))
 print("frobenius:", profile.frobenius, " genus:", profile.genus)
 
 # membership is O(1) per query once the table exists

@@ -60,7 +60,6 @@ from .primes import (
 )
 from .semigroup import (
     AperyProfile,
-    AtomSet,
     GeneratorSet,
     apery_set,
     atoms,

@@ -34,8 +34,8 @@ from .intervals import (
     ratio_scan,
 )
 from .primes import PrimeTable
-from .semigroup import GeneratorSet, apery_set, atoms, normalize_generators
-from .wilf import density, verify_sp_range
+from .semigroup import apery_set, normalize_generators
+from .wilf import density, verify_sp_range, wilf_report
 
 ENV_SIEVE_LIMIT = "PRIMEFROB_SIEVE_LIMIT"
 ENV_THREADS = "PRIMEFROB_THREADS"
@@ -151,21 +151,18 @@ def _cmd_frobenius(args) -> int:
             raw = [int(tok) for tok in args.gens.split(",")]
         except ValueError:
             raise DomainError(f"--gens must be comma-separated integers, got {args.gens!r}") from None
-        gens = normalize_generators(raw)
-        profile = apery_set(gens)
+        profile = apery_set(normalize_generators(raw))
         columns, key = ("m",), (profile.multiplicity,)
     else:
         if args.p is None or args.lam is None:
             raise DomainError("provide either --gens or both --p and --lambda")
         lam = parse_lambda(args.lam)
         table = _table_reaching(args, interval_upper(args.p, lam))
-        ls = build_interval_semigroup(table, args.p, lam)
-        profile, gens = ls.profile, GeneratorSet(ls.generators)
-        columns, key = ("p", "a", "b"), (ls.p, lam.numerator, lam.denominator)
-    f, g = profile.frobenius, profile.genus
-    e = atoms(profile, gens).embedding_dimension
-    _emit(args, columns + ("f", "g", "e", "sporadic"), [key + (f, g, e, 1 + f - g)],
-          summary=f"f={f} g={g} e={e} sporadic={1 + f - g}")
+        profile = build_interval_semigroup(table, args.p, lam).profile
+        columns, key = ("p", "a", "b"), (args.p, lam.numerator, lam.denominator)
+    r = wilf_report(profile)
+    _emit(args, columns + ("f", "g", "e", "sporadic"), [key + (r.f, r.g, r.e, r.sporadic)],
+          summary=f"f={r.f} g={r.g} e={r.e} sporadic={r.sporadic}")
     return 0
 
 
@@ -221,9 +218,8 @@ WILF_COLUMNS = [
 
 def _cmd_wilf(args) -> int:
     n_lo, n_hi = _parse_range(args.range)
-    threads = _resolve_threads(args)
     # the scan grows the table to 2*p_{n_hi} itself
-    rows = verify_sp_range(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
+    rows = verify_sp_range(_table_reaching(args, 2), n_lo, n_hi, workers=args.threads)
     holding = sum(1 for r in rows if r.holds)
     verdict = "all hold" if holding == len(rows) else f"only {holding} hold"
     _emit(args, WILF_COLUMNS, map(attrgetter(*WILF_COLUMNS), rows),
@@ -238,9 +234,8 @@ def _cmd_table3(args) -> int:
     n_lo, n_hi = _parse_range(args.range)
     if n_lo < 5:
         raise DomainError(f"scan starts at n = 5, got {n_lo}")
-    threads = _resolve_threads(args)
     # the scan grows the table to its largest first-round truncation itself
-    rows = sn_scan(_table_reaching(args, 2), n_lo, n_hi, workers=threads)
+    rows = sn_scan(_table_reaching(args, 2), n_lo, n_hi, workers=args.threads)
     passing = sum(1 for r in rows if r.passes)
     verdict = "all rows pass" if passing == len(rows) else f"only {passing} pass"
     _emit(args, TABLE3_COLUMNS,
@@ -353,6 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        args.threads = _resolve_threads(args)  # checked for every command
         return args.handler(args)
     except DomainError as exc:
         print(f"primefrob: {exc}", file=sys.stderr)

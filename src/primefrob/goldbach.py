@@ -42,8 +42,8 @@ class DecompCertificate:
     """N = sum of m primes, with the achieved deviation and the claimed bound.
 
     max_deviation = max over parts of |m*q_i - N| (exact integer).  The claim
-    is max_deviation < bound_limit for strict bounds, <= otherwise; validate()
-    re-derives everything from scratch.
+    is max_deviation < bound_limit for the strict delta bound, <= for the
+    window bound; validate() re-derives everything from scratch.
     """
 
     N: int
@@ -52,7 +52,18 @@ class DecompCertificate:
     max_deviation: int
     bound_type: str
     bound_limit: Fraction
-    strict: bool
+
+    @classmethod
+    def of(cls, n: int, parts: tuple[int, ...], bound_type: str,
+           bound_limit: Fraction) -> DecompCertificate:
+        """The certificate of n = sum(parts), m = len(parts), under the claimed bound."""
+        m = len(parts)
+        return cls(N=n, m=m, parts=parts, max_deviation=max(abs(m * q - n) for q in parts),
+                   bound_type=bound_type, bound_limit=bound_limit)
+
+    @property
+    def strict(self) -> bool:
+        return self.bound_type == BOUND_DELTA
 
     def deviation_of(self, q: int) -> int:
         return abs(self.m * q - self.N)
@@ -203,16 +214,7 @@ def ternary_decomp(
             f"no three-prime split of {n} with parts in [{lo}, {hi}] "
             f"(window floor(n^({theta})) = {w})"
         )
-    max_dev = max(abs(3 * q - n) for q in parts)
-    return DecompCertificate(
-        N=n,
-        m=3,
-        parts=parts,
-        max_deviation=max_dev,
-        bound_type=BOUND_WINDOW,
-        bound_limit=Fraction(3 * w),
-        strict=False,
-    )
+    return DecompCertificate.of(n, parts, BOUND_WINDOW, Fraction(3 * w))
 
 
 def decompose_m(
@@ -249,20 +251,11 @@ def decompose_m(
         rest = n - (m - 3) * anchor
         inner = ternary_decomp(table, rest, theta=theta)
         parts = tuple(sorted(inner.parts + (anchor,) * (m - 3)))
-    max_dev = max(abs(m * q - n) for q in parts)
-    cert = DecompCertificate(
-        N=n,
-        m=m,
-        parts=parts,
-        max_deviation=max_dev,
-        bound_type=BOUND_DELTA,
-        bound_limit=limit,
-        strict=True,
-    )
+    cert = DecompCertificate.of(n, parts, BOUND_DELTA, limit)
     if not cert.bound_satisfied():
         raise DecompositionError(
             f"split of {n} into {m} parts missed the delta={delta} bound: "
-            f"max deviation {max_dev} vs limit {limit}"
+            f"max deviation {cert.max_deviation} vs limit {limit}"
         )
     return cert
 

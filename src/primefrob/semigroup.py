@@ -188,6 +188,7 @@ class AperyProfile:
     apery: np.ndarray
     frobenius: int
     genus: int
+    generators: tuple[int, ...]  # the generators folded into the table
     atoms: tuple[int, ...] | None = None  # minimal generators, once certified
 
     def contains(self, n: int) -> bool:
@@ -321,31 +322,22 @@ class IncrementalApery:
         ap += np.arange(m, dtype=np.int64)
         ap.setflags(write=False)
         return AperyProfile(multiplicity=m, apery=ap, frobenius=top - m,
-                            genus=int(k.sum(dtype=np.int64)), atoms=found)
+                            genus=int(k.sum(dtype=np.int64)),
+                            generators=tuple(self.generators), atoms=found)
 
     def frobenius(self) -> int:
         return self._largest_apery() - self.multiplicity
 
 
-@dataclass(frozen=True)
-class AtomSet:
-    atoms: tuple[int, ...]
-
-    @property
-    def embedding_dimension(self) -> int:
-        return len(self.atoms)
-
-
-def atoms(profile: AperyProfile, gens: GeneratorSet) -> AtomSet:
-    """Minimal generators among ``gens``, a possibly non-minimal list that
-    generates the profile's semigroup.  That set is unique, so a certified
-    profile answers from its certificate; otherwise the certifying pass runs
-    on the profile's table, in O(m) memory."""
+def atoms(profile: AperyProfile) -> tuple[int, ...]:
+    """The minimal generators of the profile's semigroup, a unique set.  A
+    certified profile answers from its certificate; otherwise the certifying
+    pass runs on the profile's table and generators, in O(m) memory."""
     if profile.atoms is not None:
-        return AtomSet(profile.atoms)
+        return profile.atoms
     m = profile.multiplicity
     k = ((profile.apery - np.arange(m)) // m)[::-1]  # Kunz, descending
-    return AtomSet(_verify_fixed_point(k, gens.generators))
+    return _verify_fixed_point(k, profile.generators)
 
 
 def brute_force_membership(gens: GeneratorSet, n_max: int) -> np.ndarray:

@@ -10,7 +10,6 @@ comparison of pi(2p) with l(p)*n; none of these is certified yet.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .intervals import LambdaSemigroup, build_interval_semigroup
 from .primes import PrimeTable, baker_window, extend_table, parallel_map, table_for_nth_prime
-from .semigroup import AperyProfile, AtomSet, GeneratorSet, atoms
+from .semigroup import AperyProfile, atoms
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,9 @@ class WilfReport:
     holds: bool
 
 
-def wilf_report(profile: AperyProfile, atom_set: AtomSet) -> WilfReport:
-    e = atom_set.embedding_dimension
+def wilf_report(profile: AperyProfile) -> WilfReport:
+    """The Wilf data of the profile's semigroup: e counts its atoms."""
+    e = len(atoms(profile))
     f, g = profile.frobenius, profile.genus
     sporadic = 1 + f - g
     return WilfReport(
@@ -60,8 +60,8 @@ def wilf_report(profile: AperyProfile, atom_set: AtomSet) -> WilfReport:
 
 
 @dataclass(frozen=True)
-class SpRangeRow:
-    """Wilf data for the semigroup of primes in [p_n, 2 p_n], plus the
+class SpRangeRow(WilfReport):
+    """The WilfReport of the semigroup of primes in [p_n, 2 p_n], plus the
     sharper product bound that uses the prime count k = pi(2p) - n + 1.
 
     improved_rhs = (2k+1)(k+1); improved_ok records e*sporadic >= improved_rhs
@@ -70,14 +70,6 @@ class SpRangeRow:
     """
 
     n: int
-    p: int
-    e: int
-    f: int
-    g: int
-    sporadic: int
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
     improved_rhs: int
     improved_ok: bool
     f_lt_improved_rhs: bool
@@ -85,25 +77,12 @@ class SpRangeRow:
 
 def sp_row(table: PrimeTable, n: int) -> SpRangeRow:
     p = table.nth_prime(n)
-    ls = build_interval_semigroup(table, p, Fraction(1))
-    at = atoms(ls.profile, GeneratorSet(ls.generators))
-    rep = wilf_report(ls.profile, at)
+    rep = wilf_report(build_interval_semigroup(table, p, Fraction(1)).profile)
     k = table.prime_pi(2 * p) - n + 1  # primes in [p, 2p]
     improved_rhs = (2 * k + 1) * (k + 1)
-    return SpRangeRow(
-        n=n,
-        p=p,
-        e=rep.e,
-        f=rep.f,
-        g=rep.g,
-        sporadic=rep.sporadic,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        holds=rep.holds,
-        improved_rhs=improved_rhs,
-        improved_ok=rep.e * rep.sporadic >= improved_rhs,
-        f_lt_improved_rhs=rep.f < improved_rhs,
-    )
+    return SpRangeRow(**vars(rep), n=n, improved_rhs=improved_rhs,
+                      improved_ok=rep.e * rep.sporadic >= improved_rhs,
+                      f_lt_improved_rhs=rep.f < improved_rhs)
 
 
 def verify_sp_range(
@@ -152,34 +131,36 @@ def selmer_bound(table: PrimeTable, ls: LambdaSemigroup) -> bool:
     return ls.frobenius * k < 2 * p * largest
 
 
+# each envelope, elementwise on a float64 scalar or array, so the point
+# values and the monotonicity grids evaluate one formula
+def _l(x):
+    return 2.0 * (np.log(x) - 1.5) / (np.log(2 * x) - 0.5)
+
+
+def _l2(x):
+    return 2.0 * (np.log(x) + np.log(np.log(x))) * (np.log(2 * x) + np.log(np.log(2 * x))) / x
+
+
 def analytic_l(x: float) -> float:
     """2*(ln x - 3/2)/(ln 2x - 1/2); a lower factor for pi(2x)/pi(x), x >= 67."""
     if x < 67:
         raise DomainError(f"l(x) is used for x >= 67, got {x}")
-    return 2.0 * (math.log(x) - 1.5) / (math.log(2 * x) - 0.5)
+    return float(_l(np.float64(x)))
 
 
 def analytic_l2(x: float) -> float:
     """2*(ln x + ln ln x)*(ln 2x + ln ln 2x)/x, decreasing for x >= 675."""
     if x < 675:
         raise DomainError(f"l2(x) is used for x >= 675, got {x}")
-    return 2.0 * (math.log(x) + math.log(math.log(x))) * (
-        math.log(2 * x) + math.log(math.log(2 * x))
-    ) / x
+    return float(_l2(np.float64(x)))
 
 
 def l_strictly_increasing(lo: int = 67, hi: int = 10_000) -> bool:
-    x = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = 2.0 * (np.log(x) - 1.5) / (np.log(2 * x) - 0.5)
-    return bool((np.diff(vals) > 0).all())
+    return bool((np.diff(_l(np.arange(lo, hi + 1, dtype=np.float64))) > 0).all())
 
 
 def l2_strictly_decreasing(lo: int = 675, hi: int = 10_000) -> bool:
-    x = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = 2.0 * (np.log(x) + np.log(np.log(x))) * (
-        np.log(2 * x) + np.log(np.log(2 * x))
-    ) / x
-    return bool((np.diff(vals) < 0).all())
+    return bool((np.diff(_l2(np.arange(lo, hi + 1, dtype=np.float64))) < 0).all())
 
 
 def cube_gap_holds() -> bool:
@@ -263,7 +244,7 @@ def small_cases(table: PrimeTable) -> SmallCasesReport:
     counts: every arithmetic fact used there, rechecked by the engine."""
     s19 = build_interval_semigroup(table, 19, Fraction(1))
     s23 = build_interval_semigroup(table, 23, Fraction(1))
-    e23 = atoms(s23.profile, GeneratorSet(s23.generators)).embedding_dimension
+    e23 = len(atoms(s23.profile))
     return SmallCasesReport(
         f23_is_102=s23.frobenius == 102,
         s23_has_17_below_70=len(s23.profile.members_below(70)) == 17,

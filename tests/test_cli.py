@@ -523,6 +523,9 @@ PINNED_RUNS = [
     (("goldbach", "--N", "11", "--theta", "0.1"), 1, "e3b0c44298fc1c14", "4465335b9f708d2e"),
     (("goldbach", "--N", "243", "--theta", "3/2"), 2, "e3b0c44298fc1c14", "fc036e260879a521"),
     (("sn", "--n", "500", "--sieve-limit", "100"), 2, "e3b0c44298fc1c14", "86adab9095bcbee6"),
+    # the thread count is checked for every command, with the scans' message
+    (("frobenius", "--gens", "3,5", "--threads", "0"), 2, "e3b0c44298fc1c14", "441c8620cb06472c"),
+    (("density", "--p", "19", "--threads", "-3"), 2, "e3b0c44298fc1c14", "556bc668070d27a1"),
 ]
 
 # argparse's help and usage-error text changes between Python releases;

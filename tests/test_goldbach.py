@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from primefrob.errors import DecompositionError, DomainError, OutOfRangeError
 from primefrob.goldbach import (
+    BOUND_DELTA,
+    BOUND_WINDOW,
+    DecompCertificate,
     binary_decomp,
     decompose_m,
     decomposition_reach,
@@ -18,7 +21,7 @@ from primefrob.goldbach import (
 )
 from primefrob.intervals import build_interval_semigroup
 from primefrob.primes import PrimeTable
-from primefrob.semigroup import brute_force_membership, normalize_generators
+from primefrob.semigroup import apery_set, atoms, brute_force_membership, normalize_generators
 
 
 def test_binary_examples(table_small):
@@ -140,6 +143,15 @@ def test_certificate_validate_rejects_tampering(table_100k):
     assert not broken.validate(table_100k)
 
 
+def test_certificate_strictness_follows_its_bound_type(table_100k):
+    window = DecompCertificate.of(31, (7, 11, 13), BOUND_WINDOW, Fraction(15))
+    assert (window.m, window.max_deviation, window.strict) == (3, 10, False)
+    delta = DecompCertificate.of(31, (7, 11, 13), BOUND_DELTA, Fraction(10))
+    assert delta.strict and not delta.bound_satisfied()
+    assert ternary_decomp(table_100k, 10001, 0.6).strict is False
+    assert decompose_m(table_100k, 100000, 4, Fraction(1, 20)).strict is True
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=4, max_value=20_000))
 def test_ternary_random_odds_validate(table_100k, k):
@@ -176,6 +188,14 @@ def test_tail_certificate_stability(table_small):
         reach = brute_force_membership(gens, 2 * tp.truncation)
         misses = [i for i, ok in enumerate(reach) if not ok]
         assert misses[-1] == tp.f
+
+
+def test_tail_profile_atoms_come_from_its_generators(table_small):
+    # a tail profile is not certified, so atoms() runs the certifying pass
+    for n in (3, 5, 8, 20):
+        profile = tail_frobenius(table_small, n).profile
+        assert profile.atoms is None
+        assert atoms(profile) == atoms(apery_set(normalize_generators(profile.generators)))
 
 
 def test_tail_lower_bound(table_small):

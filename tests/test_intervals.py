@@ -21,7 +21,7 @@ from primefrob.intervals import (
     universal_lower_bound,
     upper_window_check,
 )
-from primefrob.semigroup import GeneratorSet, atoms
+from primefrob.semigroup import atoms
 
 
 def test_parse_lambda():
@@ -120,8 +120,7 @@ def test_atoms_equal_generators_for_lambda_at_most_one(table_100k):
         if not two_primes_in_interval(table_100k, p, lam):
             continue
         ls = build_interval_semigroup(table_100k, p, lam)
-        at = atoms(ls.profile, GeneratorSet(ls.generators))
-        assert at.atoms == ls.generators
+        assert atoms(ls.profile) == ls.generators
 
 
 def test_ratio_scan_records_exact_f(table_small):

@@ -2,14 +2,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primefrob.errors import DomainError
 from primefrob.intervals import build_interval_semigroup
-from primefrob.semigroup import apery_set, atoms, normalize_generators
+from primefrob.semigroup import apery_set, normalize_generators
 from primefrob.wilf import (
+    SpRangeRow,
+    WilfReport,
+    _l,
+    _l2,
     analytic_l,
     analytic_l2,
     cube_gap_holds,
@@ -28,9 +33,7 @@ from primefrob.wilf import (
 
 
 def report_for(gens):
-    g = normalize_generators(gens)
-    p = apery_set(g)
-    return wilf_report(p, atoms(p, g))
+    return wilf_report(apery_set(normalize_generators(gens)))
 
 
 def test_wilf_equality_cases():
@@ -68,6 +71,16 @@ def test_sp_row_known_anchors(table_small):
     r9 = sp_row(table_small, 9)
     assert (r9.p, r9.f, r9.e) == (23, 102, 6) and r9.holds
     assert r9.improved_rhs == 91
+
+
+def test_sp_row_carries_the_wilf_report(table_small):
+    for n in (8, 9, 40):
+        row = sp_row(table_small, n)
+        rep = wilf_report(build_interval_semigroup(table_small, row.p, Fraction(1)).profile)
+        assert isinstance(row, WilfReport)
+        assert {name: getattr(row, name) for name in vars(rep)} == vars(rep)
+    own = set(SpRangeRow.__dataclass_fields__) - set(WilfReport.__dataclass_fields__)
+    assert own == {"n", "improved_rhs", "improved_ok", "f_lt_improved_rhs"}
 
 
 def test_verify_sp_range_orders_rows(table_small):
@@ -112,6 +125,13 @@ def test_analytic_values():
         analytic_l(50)
     with pytest.raises(DomainError):
         analytic_l2(600)
+
+
+def test_analytic_envelopes_agree_with_the_array_form():
+    xs = np.arange(67, 501, dtype=np.float64)
+    assert [analytic_l(int(x)) for x in xs] == _l(xs).tolist()
+    xs = np.arange(675, 1001, dtype=np.float64)
+    assert [analytic_l2(int(x)) for x in xs] == _l2(xs).tolist()
 
 
 def test_analytic_monotonicity_grids():
