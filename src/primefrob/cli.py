@@ -79,11 +79,15 @@ def _render(columns: Sequence[str], rows: Iterable[tuple], fmt: str) -> str:
 
 def _write_atomically(path: str, content: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(prefix=".primefrob-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(content)
+                # mkstemp creates 0600; give the mode a plain open would
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -191,9 +195,18 @@ def _cmd_lambda_scan(args) -> int:
     summary = f"{len(points)} grid points at p={args.p}" + (
         f" ({skipped} below two primes, kept with empty f)" if skipped else ""
     )
-    _emit(args, SCAN_COLUMNS, rows, summary=summary)
-    if args.gnuplot:
+    if not args.gnuplot:
+        _emit(args, SCAN_COLUMNS, rows, summary=summary)
+        return 0
+    # both files land before the summary; a script that cannot be written
+    # takes the table with it
+    _write_atomically(args.output, _render(SCAN_COLUMNS, rows, args.format))
+    try:
         _write_atomically(args.gnuplot, _gnuplot_script(args.output, args.p))
+    except ConfigurationError:
+        os.unlink(args.output)
+        raise
+    print(summary)
     return 0
 
 

@@ -9,7 +9,11 @@ The table is held in Kunz coordinates k[r] = (apery[r] - r) / m, in
 descending class order: k[j] is the coordinate of class r = m - 1 - j, so
 class 0 sits at the end.  Coordinates stay below the largest generator, so
 they fit in 32 bits for every input with a generator below 2**29 - m; a
-larger generator widens the table to 64 bits once.  The table is built one
+larger generator widens the table to 64 bits once.  A large table (m >= 2048)
+whose top level has fallen to 62 or below narrows to 8 bits once instead, and
+never widens again: int8 <- int32 -> int64.  From then on a generator above
+the top level is a member and is not folded, so every step adds at most 63
+levels to an entry of at most 62, and 125 < 128.  The table is built one
 generator g at a time: a fold relaxes
 
     apery[(r + g) mod m] <= apery[r] + g
@@ -41,14 +45,24 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, InvariantViolationError, NotNumericalSemigroupError
 
+# The dtype ladder is int8 <- int32 -> int64; a table starts in int32.
 # Sentinels for an unreached class.  A Kunz coordinate is below the largest
 # generator g, and a relaxation step adds q + 1 <= g levels (q = cost // m with
 # cost < m*g).  In int32 every generator stays below 2**29 - m, so the sentinel
 # plus a step stays below 2**30 + 2**29 < 2**31.  In int64 the value budget
 # keeps g below 2**57, so the sentinel plus a step stays below 2**63.
+# A fold whose first-step top level (a bound on every entry) is at most
+# _NARROW_TOP leaves the table complete; with m >= _NARROW_FROM it moves to
+# int8 for good (smaller tables gain nothing).  A later generator with g // m
+# above the top level is a member and is not folded, and a doubling step costs
+# at most the top, so a step adds at most 63 levels: entry plus step <= 125 <
+# 128, and each scalar handed to np.add is a Python int <= 63, which int8
+# holds under numpy 1 and 2 alike.
 _INF32 = 1 << 30
 _INF64 = 1 << 62
 _WIDEN_BELOW = 1 << 29
+_NARROW_FROM = 2048
+_NARROW_TOP = 62
 # Apery values are bounded by m * max(gens).
 _VALUE_BUDGET = 1 << 58
 # A table and its scratch buffer cost 8 bytes per residue class in int32 (128
@@ -142,9 +156,12 @@ def _verify_fixed_point(k: np.ndarray, gens: Sequence[int]) -> tuple[int, ...]:
     buf = np.empty_like(k)
     low = np.full_like(k, np.iinfo(k.dtype).max)
     zero = low.copy()
+    top_level = int(k[k.argmax()])
     for g in gens:
         q, shift = divmod(g, m)
-        if shift:
+        # a step above the top level neither lowers nor attains an entry, and
+        # skipping it keeps every int8 sum below ``low``'s fill value
+        if shift and q <= top_level:
             j = m - 1 - shift  # the class g reaches from class 0
             sh = _shifted(k, buf, shift, q)
             zero[j] = min(zero[j], sh[j])
@@ -237,7 +254,10 @@ class IncrementalApery:
     it exact, so a growing family of semigroups (nested generator sets) costs
     one fold per new generator instead of one full build per member.  The
     table ``k`` holds Kunz coordinates in descending class order, in int32
-    until a generator reaches 2**29 - m and in int64 from then on.
+    until a generator reaches 2**29 - m and in int64 from then on, or, with
+    m >= 2048, in int8 for good once a fold leaves its top level at 62 or
+    below; a generator above that level is then appended without a fold, so
+    entry plus step stays at most 62 + 63 = 125 < 128.
     """
 
     def __init__(self, multiplicity: int):
@@ -253,6 +273,7 @@ class IncrementalApery:
         self._widen_at = _WIDEN_BELOW - multiplicity
         self._complete = False
         self._exact_top: int | None = None  # the largest Apery value, when known
+        self._cap = math.inf  # a bound on the top Kunz level, once in int8
         self.generators: list[int] = [multiplicity]
 
     def _widen(self) -> None:
@@ -267,12 +288,21 @@ class IncrementalApery:
         fold's first step, an upper bound on every value after the fold."""
         if g < self.multiplicity:
             raise DomainError("generators must be added in ascending order from m")
-        _check_value_budget(self.multiplicity, g)
+        m = self.multiplicity
+        _check_value_budget(m, g)
+        self.generators.append(int(g))
+        if g // m > self._cap:
+            return self._largest_apery()  # every step lands above every entry
         if g >= self._widen_at:
             self._widen()
-        self.generators.append(int(g))
         top, exact = _fold_generator(self.k, self._buf, int(g))
         self._exact_top = top if exact else None
+        if m >= _NARROW_FROM and top // m <= _NARROW_TOP:
+            if self._cap > _NARROW_TOP:
+                self.k = self.k.astype(np.int8)
+                self._buf = np.empty_like(self.k)
+                self._widen_at = math.inf
+            self._cap = top // m
         return top
 
     def contains(self, n: int) -> bool:

@@ -213,6 +213,19 @@ def test_lambda_scan_gnuplot(capsys, tmp_path):
     assert str(out_file) in script and "with steps" in script
 
 
+def test_an_unwritable_gnuplot_path_leaves_no_table_and_prints_nothing(capsys, tmp_path):
+    out_file = tmp_path / "scan.csv"
+    code, out, err = run(
+        capsys,
+        ["lambda-scan", "--p", "19", "--figure-mode", "-o", str(out_file),
+         "--gnuplot", str(tmp_path / "nodir" / "p.gp")],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("primefrob: cannot write ")
+    assert not out_file.exists()
+    assert not list(tmp_path.rglob(".primefrob-*"))
+
+
 def test_lambda_scan_gnuplot_needs_output(capsys, tmp_path):
     plot_file = tmp_path / "scan.gp"
     code, out, _ = run(
@@ -473,6 +486,19 @@ def test_output_overwrites_in_place(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text().startswith("p,density\n")
+
+
+def test_written_files_take_the_mode_a_plain_open_gives(capsys, tmp_path):
+    files = [tmp_path / name for name in ("density.csv", "scan.csv", "scan.gp")]
+    old = os.umask(0o022)
+    try:
+        assert main(["density", "--p", "19", "--output", str(files[0])]) == 0
+        assert main(["lambda-scan", "--p", "19", "--figure-mode", "--output", str(files[1]),
+                     "--gnuplot", str(files[2])]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert [oct(f.stat().st_mode & 0o777) for f in files] == ["0o644"] * 3
 
 
 @pytest.mark.parametrize("target", ["missing/table.csv", "a-directory"])

@@ -1,12 +1,14 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from primefrob import semigroup
 from primefrob.errors import ConfigurationError, DomainError, NotNumericalSemigroupError
 from primefrob.semigroup import (
     AperyError,
@@ -373,3 +375,54 @@ def test_certified_atoms_match_reachability_oracle(gen_set):
     unverified = inc.profile()
     assert unverified.atoms is None
     assert atoms(unverified) == expected
+
+
+# --- the int8 table ----------------------------------------------------------
+
+def test_oracle_tests_pass_on_tables_narrowed_to_int8(monkeypatch):
+    # the gate lowered to m >= 2 narrows the hypothesis tables above once
+    # their top level is small; they draw m <= 40 and never narrow otherwise
+    monkeypatch.setattr(semigroup, "_NARROW_FROM", 2)
+    test_batch_and_incremental_builds_match_reachability_oracle()
+    test_contains_matches_reachability_oracle_after_every_add()
+    test_certified_atoms_match_reachability_oracle()
+
+
+def _interval_gens(table, p, lam):
+    return tuple(table.primes_in(p, p + int(lam * p)).tolist())
+
+
+@pytest.mark.parametrize("p", [2053, 4099])
+@pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1)])
+def test_a_large_table_narrows_to_int8_and_matches_reachability_oracle(table_100k, p, lam):
+    gens = _interval_gens(table_100k, p, lam)
+    inc = IncrementalApery(p)
+    for i in range(1, len(gens)):
+        inc.add(gens[i])
+        if inc.k.dtype == np.int8:  # f before narrowing is past the oracle's budget
+            gaps = np.flatnonzero(~brute_force_membership(gens[: i + 1], inc.frobenius() + p))
+            assert inc.frobenius() == int(gaps.max())
+    assert inc.k.dtype == np.int8
+    profile = inc.profile(verify=True)
+    n_max = profile.frobenius + p
+    member = brute_force_membership(gens, n_max)
+    assert profile.genus == int((~member).sum())
+    assert (profile.contains_many(np.arange(n_max + 1)) == member).all()
+    # g is an atom iff it is no sum of two nonzero members
+    expected = tuple(g for g in gens if not (member[1:g] & member[g - 1:0:-1]).any())
+    assert profile.atoms == expected
+
+
+def test_a_far_generator_leaves_a_narrowed_table_as_it_is(table_100k):
+    gens = _interval_gens(table_100k, 2053, Fraction(1, 4))
+    inc = IncrementalApery(2053)
+    for g in gens[1:]:
+        inc.add(g)
+    assert inc.k.dtype == np.int8
+    f, k = inc.frobenius(), inc.k.copy()
+    far = 2**29 - 2053 + 1  # would widen an int32 table to int64
+    assert inc.add(far) == f + 2053
+    assert inc.k.dtype == np.int8 and (inc.k == k).all()
+    profile = inc.profile(verify=True)
+    assert profile.frobenius == f
+    assert profile.generators[-1] == far and far not in profile.atoms
