@@ -33,7 +33,7 @@ from .intervals import (
     parse_lambda,
     ratio_scan,
 )
-from .primes import PrimeTable, _checked_limit
+from .primes import MAX_WORKERS, PrimeTable, _checked_limit
 from .semigroup import apery_set, normalize_generators
 from .wilf import density, verify_sp_range, wilf_report
 
@@ -128,8 +128,11 @@ def _resolve_threads(args) -> int:
         # the CPUs in this process's affinity mask, where the platform has one
         value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
+        return min(value, MAX_WORKERS)
     if value < 1:
         raise DomainError(f"thread count must be >= 1, got {value}")
+    if value > MAX_WORKERS:
+        raise DomainError(f"thread count must be <= {MAX_WORKERS}, got {value}")
     return value
 
 
@@ -152,7 +155,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_frobenius(args) -> int:
-    if args.gens:
+    if args.gens and args.p is None and args.lam is None:
         try:
             raw = [int(tok) for tok in args.gens.split(",")]
         except ValueError:
@@ -160,7 +163,7 @@ def _cmd_frobenius(args) -> int:
         profile = apery_set(normalize_generators(raw))
         columns, key = ("m",), (profile.multiplicity,)
     else:
-        if args.p is None or args.lam is None:
+        if args.gens or args.p is None or args.lam is None:
             raise DomainError("provide either --gens or both --p and --lambda")
         lam = parse_lambda(args.lam)
         table = _table_reaching(args, interval_upper(args.p, lam))

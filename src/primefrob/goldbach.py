@@ -14,6 +14,7 @@ Two families of results live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,8 @@ BOUND_DELTA = "delta"      # strict: |m*q_i - N| < m*delta*N
 BOUND_WINDOW = "n_theta"   # inclusive: |m*q_i - N| <= m*floor(N^theta)
 # keeps N**a, from which floor(N^(a/b)) is rooted, to a bounded size
 MAX_THETA_DENOMINATOR = 1000
+# doublings of the first tail truncation before tail_frobenius gives up
+MAX_TRUNCATION_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -260,6 +263,11 @@ def decompose_m(
     return cert
 
 
+def _first_truncation(p_n: int, n: int) -> int:
+    """The first generator cutoff B = 4*p_n + 2n that tail_frobenius tries."""
+    return 4 * p_n + 2 * n
+
+
 @dataclass(frozen=True)
 class TailProfile:
     """Exact invariants of the semigroup of all primes >= p_n.
@@ -277,45 +285,39 @@ class TailProfile:
     profile: AperyProfile
 
 
-def tail_frobenius(table: PrimeTable, n: int, max_rounds: int = 20) -> TailProfile:
+def tail_frobenius(table: PrimeTable, n: int) -> TailProfile:
     """Frobenius number of the semigroup generated by all primes >= p_n.
 
-    Start from the truncation B = 4*p_n + 2n and fold primes of [p_n, B]
-    ascending.  A prime that is already a member is skipped, since its fold
-    would change nothing, and a prime above every current Apery value ends
-    the folding early.  If the computed f fits under B the
+    Start from the truncation B = 4*p_n + 2n and fold the primes of (p_n, B]
+    ascending into one table.  A prime that is already a member is skipped,
+    since its fold would change nothing, and a prime above every current
+    Apery value ends the folding early.  If the computed f fits under B the
     truncated semigroup equals the full one and the answer is exact;
-    otherwise B doubles and the build repeats.
+    otherwise B doubles and only the primes the doubling adds are folded.
+    Folds commute and only lower entries, so the table after each round is
+    the one a fresh build from the primes <= B would give.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     table = table_for_nth_prime(table, n)
     p_n = table.nth_prime(n)
-    bound = 4 * p_n + 2 * n
-    for _ in range(max_rounds):
+    inc = IncrementalApery(p_n)
+    top = math.inf  # an upper bound on every Apery value, from the last fold
+    lo, bound = p_n + 1, _first_truncation(p_n, n)
+    for _ in range(MAX_TRUNCATION_ROUNDS):
         table = extend_table(table, bound)
-        inc = IncrementalApery(p_n)
-        top = None  # an upper bound on every Apery value, from the last fold
-        for q in table.primes_in(p_n + 1, bound).tolist():
-            if top is not None and q > top:
+        for q in table.primes_in(lo, bound).tolist():
+            if q > top:
                 break  # every later prime is even larger; the table is final
             if inc.contains(q):
                 continue  # a member's fold would change nothing
             top = inc.add(q)
-        if inc.complete:
-            f = inc.frobenius()
-            if f <= bound:
-                return TailProfile(
-                    n=n,
-                    p_n=p_n,
-                    truncation=bound,
-                    f=f,
-                    certificate_ok=True,
-                    profile=inc.profile(),
-                )
-        bound *= 2
+        if inc.complete and (f := inc.frobenius()) <= bound:
+            return TailProfile(n=n, p_n=p_n, truncation=bound, f=f,
+                               certificate_ok=True, profile=inc.profile())
+        lo, bound = bound + 1, 2 * bound
     raise InvariantViolationError(
-        f"no truncation certificate for n={n} after {max_rounds} doublings"
+        f"no truncation certificate for n={n} after {MAX_TRUNCATION_ROUNDS} doublings"
     )
 
 
@@ -350,25 +352,13 @@ def sn_scan(table: PrimeTable, n_lo: int, n_hi: int, workers: int = 1) -> list[T
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError(f"bad range [{n_lo}, {n_hi}]")
     table = table_for_nth_prime(table, n_hi + 1)
-    table = extend_table(table, 4 * table.nth_prime(n_hi + 1) + 2 * (n_hi + 1))
-    ns = range(n_lo, n_hi + 2)
-    by_n = dict(zip(ns, parallel_map(_tail_p_f, table, ns, workers, chunksize=16)))
+    table = extend_table(table, _first_truncation(table.nth_prime(n_hi + 1), n_hi + 1))
+    tails = parallel_map(_tail_p_f, table, range(n_lo, n_hi + 2), workers, chunksize=16)
     rows = []
-    for n in range(n_lo, n_hi + 1):
-        p_n, f_n = by_n[n]
-        f_next = by_n[n + 1][1]
+    for n, (p_n, f_n), (_, f_next) in zip(range(n_lo, n_hi + 1), tails, tails[1:]):
         delta = f_next - 3 * p_n
-        rows.append(
-            TailScanRow(
-                n=n,
-                p_n=p_n,
-                f_n=f_n,
-                f_next=f_next,
-                f_odd=f_n % 2 == 1,
-                delta_next=delta,
-                delta_in_range=0 < delta < 2 * n,
-            )
-        )
+        rows.append(TailScanRow(n=n, p_n=p_n, f_n=f_n, f_next=f_next, f_odd=f_n % 2 == 1,
+                                delta_next=delta, delta_in_range=0 < delta < 2 * n))
     return rows
 
 

@@ -22,6 +22,8 @@ from .errors import ConfigurationError, DomainError, OutOfRangeError
 # A sieve beyond this many entries is almost certainly a mistyped argument;
 # refuse instead of eating gigabytes.
 MAX_SIEVE_LIMIT = 1 << 31
+# A process pool starts every worker at once; more than this is a mistyped count.
+MAX_WORKERS = 256
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -151,10 +153,12 @@ def _apply_to_pool_table(fn: Callable, item):
 def parallel_map(fn: Callable, table: PrimeTable, items: Iterable, workers: int = 1,
                  chunksize: int = 1) -> list:
     """``[fn(table, x) for x in items]``, in order.  With workers > 1 the items
-    fan out in chunks over a process pool; each worker receives ``table`` once
-    when it starts, so it need not sieve again, and what it grows keeps the
-    ceiling.
+    fan out in chunks over a pool of at most one process per item; each worker
+    receives ``table`` once when it starts, so it need not sieve again, and
+    what it grows keeps the ceiling.
     ``fn`` must be a module-level function so it can be sent to the workers."""
+    items = list(items)
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(table, x) for x in items]
     with ProcessPoolExecutor(workers, initializer=_set_pool_table, initargs=(table,)) as ex:
@@ -183,16 +187,18 @@ BAKER_EXPONENT = Fraction(21, 40)
 
 def floor_power(n: int, exponent: Fraction) -> int:
     """floor(n ** (a/b)) for n >= 0 and exponent a/b >= 0, exactly: the
-    integer b-th root of n**a, from a float estimate corrected by integer
-    comparisons."""
+    integer b-th root of n**a by integer Newton steps, which fall from a
+    power of two above the root and stop at it."""
     a, b = exponent.numerator, exponent.denominator
     target = n ** a
-    root = int(n ** (a / b))
-    while root ** b > target:
-        root -= 1
-    while (root + 1) ** b <= target:
-        root += 1
-    return root
+    if target < 2:
+        return target
+    root = 1 << -(-target.bit_length() // b)
+    while True:
+        below = ((b - 1) * root + target // root ** (b - 1)) // b
+        if below >= root:
+            return root
+        root = below
 
 
 def baker_window(table: PrimeTable, p: int) -> PrimeWindow:

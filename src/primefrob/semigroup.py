@@ -271,8 +271,7 @@ class IncrementalApery:
         self._buf = np.empty_like(self.k)
         self._inf = _INF32
         self._widen_at = _WIDEN_BELOW - multiplicity
-        self._complete = False
-        self._exact_top: int | None = None  # the largest Apery value, when known
+        self._exact_top: int | None = None  # the table's largest value, when known
         self._cap = math.inf  # a bound on the top Kunz level, once in int8
         self.generators: list[int] = [multiplicity]
 
@@ -280,7 +279,8 @@ class IncrementalApery:
         """Move the table to int64 for good, remapping the sentinel."""
         k = self.k.astype(np.int64)
         k[k == self._inf] = _INF64
-        self.k, self._buf, self._inf = k, np.empty_like(k), _INF64
+        # a cached top is in the old sentinel's units
+        self.k, self._buf, self._inf, self._exact_top = k, np.empty_like(k), _INF64, None
         self._widen_at = math.inf
 
     def add(self, g: int) -> int:
@@ -315,17 +315,15 @@ class IncrementalApery:
 
     @property
     def complete(self) -> bool:
-        # entries only ever fall, so a table once complete stays complete
-        if not self._complete:
-            self._complete = int(self.k[self.k.argmax()]) < self._inf
-        return self._complete
-
-    def _largest_apery(self) -> int:
-        """Largest Apery value of a complete table, scanned for once after a doubling fold."""
-        if not self.complete:
-            raise AperyError("some residue class is still unreachable")
+        """Every class reached: until then the cached top sits on the sentinel's level."""
         if self._exact_top is None:
             self._exact_top = _top(self.k)
+        return self._exact_top // self.multiplicity < self._inf
+
+    def _largest_apery(self) -> int:
+        """Largest Apery value of a complete table."""
+        if not self.complete:
+            raise AperyError("some residue class is still unreachable")
         return self._exact_top
 
     def profile(self, verify: bool = False) -> AperyProfile:

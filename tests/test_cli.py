@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from primefrob import primes
 from primefrob.cli import _resolve_threads, build_parser, decimal6, main
+from primefrob.primes import MAX_WORKERS
 
 
 def run(capsys, argv):
@@ -294,6 +295,25 @@ def test_default_threads_follow_cpu_affinity(monkeypatch):
     assert _resolve_threads(argparse.Namespace(threads=None)) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _resolve_threads(argparse.Namespace(threads=None)) == 64
+
+
+def test_a_thread_count_is_bounded_and_a_pool_fits_its_items(capsys, monkeypatch, pool_sizes):
+    argv = ["wilf", "--range", "8:9"]
+    serial = run(capsys, argv + ["--threads", "1"])
+    assert run(capsys, argv + ["--threads", "64"]) == serial and serial[0] == 0
+    assert pool_sizes == [2]  # two rows, so two workers, not 64
+    over = str(MAX_WORKERS + 1)
+    message = f"primefrob: thread count must be <= {MAX_WORKERS}, got {over}\n"
+    assert run(capsys, argv + ["--threads", over]) == (2, "", message)
+    monkeypatch.setenv("PRIMEFROB_THREADS", over)
+    assert run(capsys, argv) == (2, "", message)
+    assert pool_sizes == [2]
+
+
+def test_default_threads_stop_at_the_worker_budget(monkeypatch):
+    monkeypatch.delenv("PRIMEFROB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    assert _resolve_threads(argparse.Namespace(threads=None)) == MAX_WORKERS
 
 
 # ---------------------------------------------------------------- goldbach
@@ -584,6 +604,11 @@ PINNED_RUNS = [
      "3eac88bda0e990bc", "fb9d6e1051579d74"),
     # the sieve setting is checked for every command, with the sieve's message
     (("frobenius", "--gens", "3,5", "--sieve-limit", "1"), 2, "e3b0c44298fc1c14", "8dca5740907df62c"),
+    # generators and an interval together are refused, not read as generators alone
+    (("frobenius", "--gens", "3,5", "--p", "7", "--lambda", "1"), 2,
+     "e3b0c44298fc1c14", "5a9c1f44e5ca9ef4"),
+    # an exact window root: a far N meets the sieve budget instead of a float overflow
+    (("goldbach", "--N", str(10**400 + 1)), 2, "e3b0c44298fc1c14", "abadcb2c7fce1f75"),
 ]
 
 # argparse's help and usage-error text changes between Python releases;

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primefrob import goldbach
 from primefrob.errors import DecompositionError, DomainError, OutOfRangeError
 from primefrob.goldbach import (
     BOUND_DELTA,
@@ -196,6 +197,34 @@ def test_tail_profile_atoms_come_from_its_generators(table_small):
         profile = tail_frobenius(table_small, n).profile
         assert profile.atoms is None
         assert atoms(profile) == atoms(apery_set(normalize_generators(profile.generators)))
+
+
+@pytest.mark.parametrize("forced", [lambda p: p + 1, lambda p: p + 3, lambda p: 2 * p],
+                         ids=["p+1", "p+3", "2p"])
+def test_a_short_first_truncation_doubles_into_the_same_answer(table_small, monkeypatch, forced):
+    # every n certifies in its first round from 4 p_n + 2n; a shorter start
+    # takes the retry path, which must grow one table to the unforced answer
+    unforced = {n: tail_frobenius(table_small, n).f for n in range(1, 61)}
+    builds = []
+
+    class CountingApery(goldbach.IncrementalApery):
+        def __init__(self, multiplicity):
+            builds.append(multiplicity)
+            super().__init__(multiplicity)
+
+    monkeypatch.setattr(goldbach, "IncrementalApery", CountingApery)
+    monkeypatch.setattr(goldbach, "_first_truncation", lambda p_n, n: forced(p_n))
+    for n, f in unforced.items():
+        builds.clear()
+        tp = tail_frobenius(table_small, n)
+        start = forced(tp.p_n)
+        rounds, rest = divmod(tp.truncation, start)
+        assert rest == 0 and rounds & (rounds - 1) == 0
+        assert tp.f == f <= tp.truncation and tp.certificate_ok
+        assert builds == [tp.p_n]
+        gens = normalize_generators(table_small.primes_in(tp.p_n, tp.truncation).tolist())
+        reach = brute_force_membership(gens, tp.truncation)
+        assert [i for i, ok in enumerate(reach) if not ok][-1] == f
 
 
 def test_tail_lower_bound(table_small):

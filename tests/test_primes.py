@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primefrob.errors import ConfigurationError, DomainError, OutOfRangeError
@@ -12,6 +12,7 @@ from primefrob.primes import (
     baker_window,
     extend_table,
     floor_power,
+    parallel_map,
     table_for_nth_prime,
     verify_literature_bounds,
 )
@@ -174,6 +175,31 @@ def test_floor_power_is_the_integer_root(n, b, a):
     r = floor_power(n, e)
     assert r >= 0
     assert r**e.denominator <= n**e.numerator < (r + 1) ** e.denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2**40, max_value=2**1400),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=60))
+@example(10**40 + 1, 5, 3)
+@example(10**40 + 1, 40, 21)
+@example(10**400 + 1, 5, 3)
+@example(10**400 + 1, 40, 21)
+def test_floor_power_is_exact_where_a_float_is_not(n, b, a):
+    # past 2**53 a float root is off by more than one, and past 1e308 it overflows
+    e = Fraction(min(a, b), b)
+    r = floor_power(n, e)
+    assert r**e.denominator <= n**e.numerator < (r + 1) ** e.denominator
+
+
+def _square(table, x):
+    return x * x
+
+
+def test_a_pool_starts_no_more_workers_than_items(table_small, pool_sizes):
+    assert parallel_map(_square, table_small, range(2), workers=64) == [0, 1]
+    assert parallel_map(_square, table_small, iter(range(5)), workers=3) == [0, 1, 4, 9, 16]
+    assert parallel_map(_square, table_small, [7], workers=8) == [49]  # one item: no pool
+    assert pool_sizes == [2, 3]
 
 
 def test_window_never_empty_in_range(table_100k):
