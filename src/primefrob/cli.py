@@ -41,21 +41,24 @@ ENV_SIEVE_LIMIT = "PRIMEFROB_SIEVE_LIMIT"
 ENV_THREADS = "PRIMEFROB_THREADS"
 
 
+def _decimal6(num: int, den: int) -> str:
+    """num/den (den > 0, in any terms) with 6 fractional digits, round-half-even.
+    Adding den/2 rounds half up, and a zero remainder marks a tie, which goes
+    to the even neighbour: exact integers throughout, no float or Fraction."""
+    q, r = divmod(abs(num) * 2 * 10**6 + den, 2 * den)
+    if not r and q & 1:
+        q -= 1
+    digits = "%07d" % q
+    return f"{'-' if num < 0 else ''}{digits[:-6]}.{digits[-6:]}"
+
+
 def decimal6(value: Fraction | int) -> str:
-    """Exact decimal with 6 fractional digits, round-half-even, no floats."""
-    # int and Fraction both carry numerator and denominator (> 0) in lowest terms
-    num, den = value.numerator, value.denominator
-    sign = "-" if num < 0 else ""
-    q, r = divmod(abs(num) * 10**6, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    return f"{sign}{q // 10**6}.{q % 10**6:06d}"
+    """_decimal6 of an int or Fraction, from its numerator and denominator."""
+    return _decimal6(value.numerator, value.denominator)
 
 
 def _cell_csv(v: Any) -> Any:
     """A cell for csv.writer, which writes ints itself and None as ""."""
-    if type(v) is int:  # most scan cells; bool is not int by this test
-        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
@@ -66,14 +69,29 @@ def _cell_csv(v: Any) -> Any:
 
 
 def _render(columns: Sequence[str], rows: Iterable[tuple], fmt: str) -> str:
-    """Each row is a tuple in column order."""
+    """Each row is a tuple in column order, and each column holds one type
+    or None.  csv.writer writes int, str and None itself, so the first row
+    decides once which columns go through _cell_csv: those that start with
+    a bool, Fraction or tuple, or with a None that may stand for any type."""
     if fmt == "json":
         # json writes tuples as lists and hands each Fraction to decimal6
         return "".join(json.dumps(dict(zip(columns, row)), default=decimal6) + "\n" for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_cell_csv(v) for v in row] for row in rows)
+    rows = iter(rows)
+    first = next(rows, ())
+    todo = [i for i, v in enumerate(first) if type(v) is not int and type(v) is not str]
+
+    def cells(row: tuple) -> list:
+        row = list(row)
+        for i in todo:
+            row[i] = _cell_csv(row[i])
+        return row
+
+    if first:
+        writer.writerow(cells(first))
+    writer.writerows(map(cells, rows) if todo else rows)
     return buf.getvalue()
 
 
@@ -178,6 +196,14 @@ def _cmd_frobenius(args) -> int:
 SCAN_COLUMNS = ["p", "a", "b", "x", "f", "ratio", "staircase", "two_primes"]
 
 
+def _scan_rows(points: Iterable) -> Iterable[tuple]:
+    """SCAN_COLUMNS rows from the points' integers: x = num/den in lowest terms, as is lam."""
+    for pt in points:
+        num, den, f = pt.x.numerator, pt.x.denominator, pt.f
+        yield (pt.p, num - den, den, _decimal6(num, den), f,
+               None if f is None else _decimal6(f, pt.p), pt.staircase, f is not None)
+
+
 def _cmd_lambda_scan(args) -> int:
     if args.gnuplot and not args.output:
         raise DomainError("--gnuplot needs --output so the script has data to plot")
@@ -192,9 +218,8 @@ def _cmd_lambda_scan(args) -> int:
     else:
         raise DomainError("provide --figure-mode or at least one --x")
     points = ratio_scan(table, args.p, xs)
-    rows = [(pt.p, pt.lam.numerator, pt.lam.denominator, pt.x, pt.f, pt.ratio,
-             pt.staircase, pt.two_primes) for pt in points]
-    skipped = sum(1 for pt in points if not pt.two_primes)
+    rows = _scan_rows(points)
+    skipped = sum(1 for pt in points if pt.f is None)
     summary = f"{len(points)} grid points at p={args.p}" + (
         f" ({skipped} below two primes, kept with empty f)" if skipped else ""
     )

@@ -88,6 +88,11 @@ def build_interval_semigroup(table: PrimeTable, p: int, lam: Fraction) -> Lambda
     return LambdaSemigroup(p=p, lam=lam, generators=gens, profile=apery_set(gens))
 
 
+def _staircase(num: int, den: int) -> int:
+    """staircase(num/den) for integers num, den > 0, in any terms."""
+    return 3 if num > den else 2 + (2 * den) // num
+
+
 def staircase(lam: Fraction) -> int:
     """Conjectured limiting value of f/p: 2 + floor(2/lam) for lam <= 1, else 3."""
     # integer tests on the lowest-terms pair (denominator > 0) stay off
@@ -95,22 +100,31 @@ def staircase(lam: Fraction) -> int:
     num, den = lam.numerator, lam.denominator
     if num <= 0:
         raise DomainError(f"ratio must be positive, got {lam}")
-    if num > den:
-        return 3
-    return 2 + (2 * den) // num
+    return _staircase(num, den)
 
 
 @dataclass(frozen=True)
 class StaircasePoint:
-    """One scan row: exact f at x = 1 + lam, with the quotient f/p."""
+    """One scan row: exact f at x = 1 + lam, or None when [p, x*p] holds
+    fewer than two primes.  The scan stores only integers and the grid's own
+    x; lam, the quotient f/p and two_primes are built when read."""
 
     p: int
     x: Fraction
-    lam: Fraction
-    two_primes: bool
     f: int | None
-    ratio: Fraction | None
     staircase: int
+
+    @property
+    def lam(self) -> Fraction:
+        return self.x - 1
+
+    @property
+    def ratio(self) -> Fraction | None:
+        return None if self.f is None else Fraction(self.f, self.p)
+
+    @property
+    def two_primes(self) -> bool:
+        return self.f is not None
 
 
 def figure_grid(table: PrimeTable, p: int, x_max: Fraction = Fraction(3)) -> list[Fraction]:
@@ -124,46 +138,43 @@ def figure_grid(table: PrimeTable, p: int, x_max: Fraction = Fraction(3)) -> lis
 def ratio_scan(
     table: PrimeTable, p: int, xs: Iterable[Fraction]
 ) -> list[StaircasePoint]:
-    """Exact f and f/p for each grid point x (lam = x - 1), ascending in x.
+    """Exact f for each grid point x (lam = x - 1), ascending in x.
 
     Generators are folded incrementally: moving to a larger x only adds
     primes, so one Apery table at multiplicity p serves the whole scan.
+    Each row is worked out from x's lowest-terms (numerator, denominator)
+    pair, with no Fraction arithmetic; a point keeps the grid's own x.
     Points whose interval holds fewer than two primes are emitted with
-    two_primes=False and no f rather than dropped silently.
+    f=None (so two_primes is False) rather than dropped silently.
     """
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
     # sort, then drop adjacent repeats: an ascending grid costs one linear
     # pass, where a set would scatter it into hash order for the sort to
-    # undo; Fractions are immutable, so they are kept rather than rebuilt
-    grid: list[Fraction] = []
+    # undo; Fractions are immutable, so they are kept rather than rebuilt,
+    # and are in lowest terms, so equal values have equal integer pairs
+    grid: list[tuple[Fraction, int, int]] = []
+    last = None
     for x in sorted(v if type(v) is Fraction else Fraction(v) for v in xs):
-        if not grid or x != grid[-1]:
-            grid.append(x)
+        pair = (x.numerator, x.denominator)
+        if pair != last:
+            grid.append((x, *pair))
+            last = pair
     if not grid:
         return []
-    if grid[0] <= 1:
-        raise DomainError(f"grid values must exceed 1, got {grid[0]}")
-    hi_last = _floor_mul(grid[-1], p)
-    qs = table.primes_in(p, hi_last).tolist()
+    if grid[0][0] <= 1:
+        raise DomainError(f"grid values must exceed 1, got {grid[0][0]}")
+    qs = table.primes_in(p, last[0] * p // last[1]).tolist()
     inc = IncrementalApery(p)
     points: list[StaircasePoint] = []
     idx = 1  # qs[0] == p, already in the table
-    for x in grid:
-        hi = _floor_mul(x, p)
+    for x, num, den in grid:
+        hi = num * p // den
         while idx < len(qs) and qs[idx] <= hi:
             inc.add(qs[idx])
             idx += 1
-        lam = Fraction(x.numerator - x.denominator, x.denominator)  # x - 1
-        if idx < 2:
-            points.append(
-                StaircasePoint(p, x, lam, False, None, None, staircase(lam))
-            )
-            continue
-        f = inc.frobenius()
-        points.append(
-            StaircasePoint(p, x, lam, True, f, Fraction(f, p), staircase(lam))
-        )
+        f = inc.frobenius() if idx >= 2 else None
+        points.append(StaircasePoint(p, x, f, _staircase(num - den, den)))  # lam = x - 1
     return points
 
 

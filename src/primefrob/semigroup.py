@@ -68,6 +68,8 @@ _VALUE_BUDGET = 1 << 58
 # A table and its scratch buffer cost 8 bytes per residue class in int32 (128
 # MiB here) and 16 bytes once widened to int64 (256 MiB).
 _MULTIPLICITY_BUDGET = 1 << 24
+# gaps() and members_below() list their entries in int64: 128 MiB here.
+_LISTING_BUDGET = 1 << 24
 
 ORACLE_BUDGET = 10_000_000
 
@@ -99,6 +101,11 @@ class AperyError(InvariantViolationError):
 def _check_value_budget(m: int, g: int) -> None:
     if m * g > _VALUE_BUDGET:
         raise BudgetError(f"apery values may exceed the 64-bit budget for m={m}, generator {g}")
+
+
+def _check_listing_budget(size: int, what: str) -> None:
+    if size > _LISTING_BUDGET:
+        raise BudgetError(f"{size} {what} to list, over the budget {_LISTING_BUDGET}")
 
 
 def _shifted(k: np.ndarray, buf: np.ndarray, shift: int, q: int) -> np.ndarray:
@@ -203,15 +210,20 @@ class AperyProfile:
         return (ns >= 0) & (ns >= self.apery[ns % self.multiplicity])
 
     def members_below(self, limit: int) -> np.ndarray:
-        """Ascending semigroup elements strictly less than ``limit``."""
-        out = [np.arange(start, limit, self.multiplicity, dtype=np.int64)
-               for start in self.apery.tolist() if start < limit]
+        """Ascending semigroup elements strictly less than ``limit``; more
+        than _LISTING_BUDGET of them is refused before any allocation."""
+        m = self.multiplicity
+        starts = [start for start in self.apery.tolist() if start < limit]
+        _check_listing_budget(sum((limit - 1 - start) // m + 1 for start in starts), "members")
+        out = [np.arange(start, limit, m, dtype=np.int64) for start in starts]
         if not out:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(out))
 
     def gaps(self) -> np.ndarray:
-        """All positive integers outside the semigroup, ascending."""
+        """All positive integers outside the semigroup, ascending; a genus
+        above _LISTING_BUDGET is refused before any allocation."""
+        _check_listing_budget(self.genus, "gaps")
         m = self.multiplicity
         out = []
         for r in range(1, m):

@@ -1,8 +1,10 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primefrob import primes
-from primefrob.cli import _resolve_threads, build_parser, decimal6, main
+from primefrob.cli import SCAN_COLUMNS, _render, _resolve_threads, build_parser, decimal6, main
 from primefrob.primes import MAX_WORKERS
+from primefrob.semigroup import apery_set
 
 
 def run(capsys, argv):
@@ -241,6 +244,77 @@ def test_lambda_scan_gnuplot_needs_output(capsys, tmp_path):
 
 def test_lambda_scan_needs_grid(capsys):
     assert run(capsys, ["lambda-scan", "--p", "19", "--sieve-limit", "100"])[0] == 2
+
+
+def test_a_csv_column_that_starts_empty_is_still_converted():
+    # the first row picks the converted columns once; a None there may
+    # stand for any type, a bool or Fraction or tuple must be converted
+    rows = iter([(None, True, 1, (2, 3)), (Fraction(1, 2), False, None, (5,)),
+                 (Fraction(7), None, 3, ())])
+    assert _render(("a", "b", "c", "d"), rows, "csv") == (
+        "a,b,c,d\n,true,1,2;3\n0.500000,false,,5\n7.000000,,3,\n"
+    )
+    assert _render(("a", "b"), iter([]), "csv") == "a,b\n"
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def scan_reference(p, grid, fmt):
+    """lambda-scan's table for ``grid`` (Fractions), rendered here from
+    Fraction arithmetic with trial-division primes and one certified
+    build per point."""
+    lines = [",".join(SCAN_COLUMNS)] if fmt == "csv" else []
+    for x in sorted(set(grid)):
+        lam = x - 1
+        gens = [q for q in range(p, math.floor(x * p) + 1) if _is_prime(q)]
+        f = apery_set(tuple(gens)).frobenius if len(gens) >= 2 else None
+        ratio = None if f is None else decimal6_reference(Fraction(f, p))
+        cells = [p, lam.numerator, lam.denominator, decimal6_reference(x), f, ratio,
+                 3 if lam > 1 else 2 + math.floor(2 / lam), len(gens) >= 2]
+        if fmt == "json":
+            lines.append(json.dumps(dict(zip(SCAN_COLUMNS, cells))))
+        else:
+            lines.append(",".join("" if v is None else str(v).lower() if isinstance(v, bool)
+                                  else str(v) for v in cells))
+    return "".join(line + "\n" for line in lines)
+
+
+# an --x value as the user may type it, and the Fraction it stands for:
+# a/b (not always in lowest terms), an integer, or a decimal
+_X_TEXTS = st.one_of(
+    st.builds(lambda b, k: (f"{b + k}/{b}", Fraction(b + k, b)),
+              st.integers(1, 40), st.integers(1, 120)).filter(lambda t: t[1] <= 4),
+    st.integers(2, 4).map(lambda n: (str(n), Fraction(n))),
+    st.builds(lambda k, d: (f"{1 + k / 10**d:.{d}f}", 1 + Fraction(k, 10**d)),
+              st.integers(1, 300), st.integers(1, 3)).filter(lambda t: t[1] <= 4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([q for q in range(2, 120) if _is_prime(q)]),
+       grid=st.lists(_X_TEXTS, min_size=1, max_size=8).flatmap(
+           lambda xs: st.permutations(xs + xs[: len(xs) // 2 + 1])))
+def test_scan_rows_match_a_fraction_reference(p, grid):
+    argv = ["lambda-scan", "--p", str(p)]
+    for text, _ in grid:
+        argv += ["--x", text]
+    for fmt in ("csv", "json"):
+        # capsys is per test, not per example
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv + ["--format", fmt]) == 0
+        assert out.getvalue() == scan_reference(p, [x for _, x in grid], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_mode_rows_match_a_fraction_reference(capsys, fmt):
+    p = 1009
+    grid = [Fraction(q, p) for q in range(p + 1, 3 * p + 1) if _is_prime(q)]
+    code, out, _ = run(capsys, ["lambda-scan", "--p", str(p), "--figure-mode", "--format", fmt])
+    assert code == 0
+    assert out == scan_reference(p, grid, fmt)
 
 
 # ---------------------------------------------------------------- tables

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from primefrob import semigroup
-from primefrob.errors import ConfigurationError, DomainError, NotNumericalSemigroupError
+from primefrob.errors import BudgetError, ConfigurationError, DomainError, NotNumericalSemigroupError
 from primefrob.semigroup import (
     AperyError,
     IncrementalApery,
@@ -153,6 +154,31 @@ def test_members_below_lists_ascending():
     assert len(xs) == 19
     assert (np.diff(xs) > 0).all()
     assert xs[0] == 0 and xs[-1] == 62
+
+
+def test_listings_past_the_budget_are_refused_before_allocating():
+    # numpy refuses both sizes without allocating, with its own errors
+    with pytest.raises(BudgetError, match="gaps"):
+        apery_set((2, 2**57 - 1)).gaps()
+    with pytest.raises(BudgetError, match="members"):
+        apery_set((3, 5)).members_below(2**62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=2, max_size=4),
+       st.integers(min_value=-5, max_value=400))
+def test_listing_sizes_are_counted_exactly(gens, limit):
+    # a budget of exactly the listing's length admits it, one less refuses it
+    assume(math.gcd(*gens) == 1)
+    _, p = build(gens)
+    listings = {"gaps": p.gaps, "members": lambda: p.members_below(limit)}
+    for what, listing in listings.items():
+        size = len(listing())
+        with mock.patch.object(semigroup, "_LISTING_BUDGET", size):
+            assert len(listing()) == size
+        with mock.patch.object(semigroup, "_LISTING_BUDGET", size - 1):
+            with pytest.raises(BudgetError, match=what):
+                listing()
 
 
 # --- atoms ---------------------------------------------------------------
